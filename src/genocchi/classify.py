@@ -1,7 +1,10 @@
 """Per-prime irregularity classification and its independent congruence oracles.
 
-The fast path classifies a prime from multiplicative orders plus a cached
-B-irregularity flag. Everything else in this module exists to check that path:
+The fast path classifies a prime from multiplicative orders plus a
+B-irregularity flag. The rules (order thresholds and the p = 3 and p = ell
+edge cases) live in one function, `classify_from_orders`; `classify_prime`
+computes the orders for it, and the survey feeds it orders read from its
+cache. Everything else in this module exists to check that path:
 congruence oracles (Voronoi, Kummer, Lehmer), exact p-adic valuation formulas,
 and brute-force divisor scans.
 
@@ -13,7 +16,6 @@ sequence value at subscript 2n; `kummer_check` takes actual even subscripts.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -29,6 +31,7 @@ __all__ = [
     "PrimeClassification",
     "b_irregular_pairs",
     "classify_prime",
+    "classify_from_orders",
     "order_criterion_oracle",
     "ORDER_CRITERIA",
     "divides_sequence",
@@ -38,7 +41,6 @@ __all__ = [
     "wieferich_search",
     "emma_lehmer_check",
     "frac_mod",
-    "clear_caches",
 ]
 
 
@@ -52,7 +54,7 @@ class PrimeClassification:
     """Orders, quadratic character, and the five irregularity flags of a prime.
 
     When p == ell the order fields and jacobi_ell_p are 0 (undefined case,
-    handled by the edge rules in `classify_prime`).
+    handled by the edge rules in `classify_from_orders`).
     """
 
     p: int
@@ -67,17 +69,6 @@ class PrimeClassification:
     h_plus_irregular: bool
 
 
-_PAIRS_LOCK = threading.Lock()
-_PAIRS_CACHE: dict[int, tuple[IrregularPair, ...]] = {}
-_CLS_CACHE: dict[tuple[int, int], PrimeClassification] = {}
-
-
-def clear_caches() -> None:
-    with _PAIRS_LOCK:
-        _PAIRS_CACHE.clear()
-        _CLS_CACHE.clear()
-
-
 def b_irregular_pairs(p: int) -> list[IrregularPair]:
     """All even 2n in [2, p-3] whose Bernoulli numerator is divisible by p.
 
@@ -87,79 +78,51 @@ def b_irregular_pairs(p: int) -> list[IrregularPair]:
     """
     if p < 5:
         raise ValueError(f"p must be a prime >= 5, got {p}")
-    cached = _PAIRS_CACHE.get(p)
-    if cached is not None:
-        return list(cached)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     g = primitive_root(p)
     sums = power_sums(p, half_coefficients(p, g))
-    pairs = tuple(IrregularPair(p, 2 * (int(i) + 1)) for i in np.flatnonzero(sums == 0))
-    with _PAIRS_LOCK:
-        _PAIRS_CACHE[p] = pairs
-    return list(pairs)
+    return [IrregularPair(p, 2 * (int(i) + 1)) for i in np.flatnonzero(sums == 0)]
 
 
 def classify_prime(ell: int, p: int, b_irregular: bool) -> PrimeClassification:
-    """Classify an odd prime from its orders and the supplied B-flag.
+    """Classify an odd prime p for base ell from its orders and the supplied B-flag."""
+    if p == 2:
+        raise ValueError("2 is never classified; the definitions cover odd primes")
+    if not is_prime(p) or not is_prime(ell):
+        raise ValueError(f"both ell={ell} and p={p} must be prime")
+    if p == ell:
+        orders = (0, 0, 0)
+    else:
+        orders = (mult_order(ell, p), mult_order(ell * ell % p, p), jacobi(ell, p))
+    return classify_from_orders(ell, p, orders, b_irregular)
+
+
+def classify_from_orders(
+    ell: int, p: int, orders: tuple[int, int, int], b_irregular: bool
+) -> PrimeClassification:
+    """The classification rules, applied to (ord_p(ell), ord_p(ell**2), (ell/p)).
 
     Criteria for p distinct from ell and p > 3:
       G, H:  B-irregular or ord_p(ell**2) < (p-1)/2
       H-:    B-irregular or ord_p(ell)    < (p-1)/2
       H+:    B-irregular or ord_p(ell) even and not p-1
     Edge rules: p = 3 is regular for every variant; p = ell > 3 is
-    G-irregular while its H flags reduce to the B-flag.
+    G-irregular while its H flags reduce to the B-flag, and its orders are
+    recorded as 0. Inputs are not validated (see `classify_prime`).
     """
-    if p == 2:
-        raise ValueError("2 is never classified; the definitions cover odd primes")
-    if not is_prime(p) or not is_prime(ell):
-        raise ValueError(f"both ell={ell} and p={p} must be prime")
-    key = (ell, p)
-    cached = _CLS_CACHE.get(key)
-    if cached is not None and cached.b_irregular == b_irregular:
-        return cached
-
     if p == ell:
-        b = False if p == 3 else b_irregular
-        cls = PrimeClassification(
-            p=p,
-            ell=ell,
-            ord_ell=0,
-            ord_ell_sq=0,
-            jacobi_ell_p=0,
-            b_irregular=b,
-            g_irregular=p > 3,
-            h_irregular=b,
-            h_minus_irregular=b,
-            h_plus_irregular=b,
-        )
-    else:
-        ord_ell = mult_order(ell, p)
-        ord_sq = mult_order(ell * ell % p, p)
-        jac = jacobi(ell, p)
-        if p == 3:
-            b = g = h = hm = hp = False
-        else:
-            b = b_irregular
-            half = (p - 1) // 2
-            g = h = b or ord_sq < half
-            hm = b or ord_ell < half
-            hp = b or (ord_ell % 2 == 0 and ord_ell != p - 1)
-        cls = PrimeClassification(
-            p=p,
-            ell=ell,
-            ord_ell=ord_ell,
-            ord_ell_sq=ord_sq,
-            jacobi_ell_p=jac,
-            b_irregular=b,
-            g_irregular=g,
-            h_irregular=h,
-            h_minus_irregular=hm,
-            h_plus_irregular=hp,
-        )
-    with _PAIRS_LOCK:
-        _CLS_CACHE[key] = cls
-    return cls
+        b = b_irregular and p > 3
+        return PrimeClassification(p, ell, 0, 0, 0, b, p > 3, b, b, b)
+    ord_ell, ord_sq, jac = orders
+    if p == 3:
+        return PrimeClassification(p, ell, ord_ell, ord_sq, jac, False, False, False, False, False)
+    b = b_irregular
+    half = (p - 1) // 2
+    g = b or ord_sq < half
+    hm = b or ord_ell < half
+    hp = b or (ord_ell % 2 == 0 and ord_ell != p - 1)
+    return PrimeClassification(p, ell, ord_ell, ord_sq, jac, b, g, g, hm, hp)
 
 
 #: criterion name -> (offset in ell**n + offset, scan range flavor)

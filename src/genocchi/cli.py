@@ -163,10 +163,10 @@ def _cmd_density(args) -> int:
         "sq2": lambda: density_mod.delta_ell_sq_2(ell),
     }
     ratio = {
-        "g-conj": lambda: density_mod.conjectured_ratio("G" if (d, a) == (1, 1) else "G_progression", ell, d, a),
+        "g-conj": lambda: density_mod.conjectured_ratio("G", ell, d, a),
         "hminus-conj": lambda: density_mod.conjectured_ratio("Hminus", ell, d, a),
         "hplus-conj": lambda: density_mod.conjectured_ratio("Hplus", ell, d, a),
-        "g-lower": lambda: density_mod.lower_bound_ratio("G" if (d, a) == (1, 1) else "G_progression", ell, d, a),
+        "g-lower": lambda: density_mod.lower_bound_ratio("G", ell, d, a),
         "hminus-lower": lambda: density_mod.lower_bound_ratio("Hminus", ell, d, a),
         "hplus-lower": lambda: density_mod.lower_bound_ratio("Hplus", ell, d, a),
     }

@@ -38,7 +38,6 @@ from .modarith import primitive_root
 
 __all__ = [
     "MAX_KERNEL_PRIME",
-    "active_backend",
     "half_coefficients",
     "power_sums",
     "power_sums_numpy",
@@ -51,11 +50,6 @@ _LIMB_BITS = 9
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 #: largest accepted distance from an integer before rounding a transform value
 _MAX_ROUNDING_ERROR = 0.25
-
-
-def active_backend() -> str:
-    """Name of the array library `power_sums` runs on (always 'numpy')."""
-    return "numpy"
 
 
 def half_coefficients(p: int, mult: int) -> np.ndarray:

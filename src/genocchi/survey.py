@@ -5,8 +5,9 @@ ratios, and emit the result tables as text, CSV, or JSON.
 Two counting conventions, and how they map to the published Tables 1-3:
 
 - Numerator: count_irregular counts the odd primes p <= x that the rules of
-  `classify_prime` flag. 2 and 3 are never irregular. p = ell > 3 is
-  G-irregular, since ell divides every G_n; its H flags reduce to its B flag.
+  `classify.classify_from_orders` flag. 2 and 3 are never irregular.
+  p = ell > 3 is G-irregular, since ell divides every G_n; its H flags reduce
+  to its B flag.
   Published Table 1 leaves p = ell out, so for ell = 5 .. 19 its value is
   (count_irregular - 1) / pi(x); for ell = 2, 3 the counts agree as they
   stand, and so do the Table 2 counts for the B-regular bases 2, 3, 5.
@@ -35,8 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import PrimeClassification, b_irregular_pairs, classify_prime
+from .classify import PrimeClassification, b_irregular_pairs, classify_from_orders, classify_prime
 from .density import conjectured_ratio, lower_bound_ratio
+from .kernels import MAX_KERNEL_PRIME
 from .modarith import sieve_primes
 
 __all__ = [
@@ -88,6 +90,8 @@ class SurveyConfig:
     def __post_init__(self):
         if self.x < 100:
             raise ValueError(f"x must be >= 100, got {self.x}")
+        if self.x > MAX_KERNEL_PRIME:
+            raise ValueError(f"x must be <= {MAX_KERNEL_PRIME} (the kernel bound), got {self.x}")
         if not self.variants:
             raise ValueError("variants must be non-empty")
         for v in self.variants:
@@ -132,7 +136,7 @@ class ClassificationCache:
     per-base files orders_<ell>.csv hold `p,ord,ord_sq,jacobi,g,h,hminus,hplus`.
     Flags are recomputed from the stored orders on load, so the two files can
     never drift apart. All writes go through a single writer (the survey main
-    thread).
+    thread), and each replaces its file atomically.
     """
 
     def __init__(self, root: Path):
@@ -170,7 +174,7 @@ class ClassificationCache:
         for p in sorted(pairs):
             idx = pairs[p]
             lines.append(f"{p},{int(bool(idx))},{';'.join(map(str, idx))}")
-        self._b_path().write_text("\n".join(lines) + "\n")
+        _write_atomic(self._b_path(), "\n".join(lines) + "\n")
 
     def load_orders(self, ell: int) -> dict[int, tuple[int, int, int]]:
         path = self._orders_path(ell)
@@ -201,7 +205,17 @@ class ClassificationCache:
                 f"{int(r.g_irregular)},{int(r.h_irregular)},"
                 f"{int(r.h_minus_irregular)},{int(r.h_plus_irregular)}"
             )
-        self._orders_path(ell).write_text("\n".join(lines) + "\n")
+        _write_atomic(self._orders_path(ell), "\n".join(lines) + "\n")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace path's contents all at once: an interrupted write leaves the old file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _progress(msg: str, quiet: bool) -> None:
@@ -238,43 +252,23 @@ def _ensure_b_pairs(
     return known
 
 
-def _rebuild_classification(
-    ell: int, p: int, orders: tuple[int, int, int], b: bool
-) -> PrimeClassification:
-    ordl, ordsq, jac = orders
-    if p == ell:
-        bb = False if p == 3 else b
-        return PrimeClassification(p, ell, 0, 0, 0, bb, p > 3, bb, bb, bb)
-    if p == 3:
-        return PrimeClassification(p, ell, ordl, ordsq, jac, False, False, False, False, False)
-    half = (p - 1) // 2
-    g = h = b or ordsq < half
-    hm = b or ordl < half
-    hp = b or (ordl % 2 == 0 and ordl != p - 1)
-    return PrimeClassification(p, ell, ordl, ordsq, jac, b, g, h, hm, hp)
-
-
 def _ensure_classifications(
     ell: int,
     primes: np.ndarray,
     b_pairs: dict[int, tuple[int, ...]],
     cache: ClassificationCache,
 ) -> dict[int, PrimeClassification]:
+    """Every odd prime's classification, keyed in the order of `primes`."""
     stored = cache.load_orders(ell)
     recs: dict[int, PrimeClassification] = {}
-    fresh = False
-    for p in primes:
-        p = int(p)
-        if p == 2:
-            continue
+    for p in primes[1:].tolist():  # 2 is never classified
         b = bool(b_pairs.get(p))
         orders = stored.get(p)
-        if orders is not None:
-            recs[p] = _rebuild_classification(ell, p, orders, b)
-        else:
+        if orders is None:
             recs[p] = classify_prime(ell, p, b)
-            fresh = True
-    if fresh:
+        else:
+            recs[p] = classify_from_orders(ell, p, orders, b)
+    if recs.keys() - stored.keys():
         cache.save_classifications(ell, recs)
     return recs
 
@@ -286,18 +280,18 @@ def run_survey(config: SurveyConfig) -> list[SurveyRow]:
     b_pairs = _ensure_b_pairs(primes, cache, config.threads, config.quiet)
     recs = _ensure_classifications(config.ell, primes, b_pairs, cache)
 
+    # one flag per prime and variant, aligned with primes; 2 is never flagged
+    flags = {
+        v: np.array([False] + [getattr(r, _FLAG_FIELD[v]) for r in recs.values()])
+        for v in config.variants
+    }
+
     rows: list[SurveyRow] = []
     for d, a in config.progressions:
-        in_class = primes[primes % d == a % d] if d > 1 else primes
-        denominator = int(in_class.size)
+        in_class = primes % d == a % d
+        denominator = int(np.count_nonzero(in_class))
         for variant in config.variants:
-            flag = _FLAG_FIELD[variant]
-            count = sum(
-                1 for p in in_class if int(p) in recs and getattr(recs[int(p)], flag)
-            )
-            kind = variant
-            if variant == "G" and (d, a) != (1, 1):
-                kind = "G_progression"
+            count = int(np.count_nonzero(flags[variant] & in_class))
             rows.append(
                 SurveyRow(
                     ell=config.ell,
@@ -307,8 +301,8 @@ def run_survey(config: SurveyConfig) -> list[SurveyRow]:
                     count_irregular=count,
                     count_primes=denominator,
                     experimental=round(count / denominator, 6),
-                    conjectured=round(conjectured_ratio(kind, config.ell, d, a), 9),
-                    lower_bound=round(lower_bound_ratio(kind, config.ell, d, a), 9),
+                    conjectured=round(conjectured_ratio(variant, config.ell, d, a), 9),
+                    lower_bound=round(lower_bound_ratio(variant, config.ell, d, a), 9),
                     variant=variant,
                 )
             )

@@ -32,7 +32,6 @@ from genocchi.density import (
     alpha_primroot,
     conjectured_ratio,
     delta_g,
-    delta_g_alt,
     delta_minus_total,
     delta_near_primroot,
     lower_bound_ratio,
@@ -50,6 +49,7 @@ from genocchi.exactseq import (
 from genocchi.kernels import half_coefficients, power_sums
 from genocchi.modarith import jacobi, mult_order, sieve_primes
 
+from density_oracles import delta_g_alt, delta_minus_total_direct
 from test_density import random_triples, _case_bound
 from test_exactseq import series_inverse, tangent_series
 
@@ -125,7 +125,7 @@ def test_criterion_1_theoretical_columns():
         if abs(gm - TABLE_2_THEORETICAL_MINUS[ell]) >= TOL:
             errs.append(("T2-", ell, gm, TABLE_2_THEORETICAL_MINUS[ell]))
     for (ell, d, a), want in TABLE_3_THEORETICAL.items():
-        got = conjectured_ratio("G_progression", ell, d, a)
+        got = conjectured_ratio("G", ell, d, a)
         if abs(got - want) >= TOL:
             errs.append(("T3", (ell, d, a), got, want))
     elapsed = time.perf_counter() - start
@@ -425,6 +425,7 @@ def test_criterion_8_density_property_suite():
     # component sum vs direct table, and the two delta_g presentations
     for ell, d, a in random_triples(500, seed=107, dmax=900):
         assert delta_minus_total(ell, d, a) == alpha_minus(ell, d, a) + alpha_primroot(ell, d, a)
+        assert delta_minus_total(ell, d, a) == delta_minus_total_direct(ell, d, a)
         assert delta_g(ell, d, a) == delta_g_alt(ell, d, a)
 
     # strict case bounds and the exact zero set

@@ -10,11 +10,9 @@ from genocchi.density import (
     LinearInA,
     alpha_minus,
     alpha_primroot,
-    artin_euler_product,
     conjectured_ratio,
     delta_ell_sq_2,
     delta_g,
-    delta_g_alt,
     delta_minus_total,
     delta_near_primroot,
     lower_bound_ratio,
@@ -22,6 +20,8 @@ from genocchi.density import (
     rho_plus_one,
 )
 from genocchi.modarith import jacobi
+
+from density_oracles import artin_euler_product, delta_g_alt, delta_minus_total_direct
 
 ODD_ELLS = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -149,6 +149,7 @@ def test_lem_dens_consistency():
         assert delta_minus_total(ell, 1, 1) == (
             delta_near_primroot(ell, 1) + delta_near_primroot(ell, 2)
         )
+        assert delta_minus_total(ell, 1, 1) == delta_minus_total_direct(ell, 1, 1)
 
 
 # ---------------------------------------------------------------- ell = 2 table
@@ -175,10 +176,11 @@ def test_delta_g_table_agreement_500():
 
 
 def test_c2_is_component_sum_500():
-    # delta_minus_total asserts its direct table against the sum internally
+    # the component sum against the independent direct coefficient table
     for ell, d, a in random_triples(500, seed=13):
         total = delta_minus_total(ell, d, a)
         assert total == alpha_minus(ell, d, a) + alpha_primroot(ell, d, a)
+        assert total == delta_minus_total_direct(ell, d, a), (ell, d, a)
 
 
 def test_delta_g_crt_halving_500():
@@ -265,8 +267,8 @@ def test_alpha_minus_zero_case():
 def test_conjectured_ratio_reference_values():
     assert abs(conjectured_ratio("G", 2) - 0.659776) < 5e-6
     assert abs(conjectured_ratio("Hplus", 3) - 0.571007) < 5e-6
-    assert abs(conjectured_ratio("G_progression", 3, 3, 1) - 0.818547) < 5e-6
-    assert abs(conjectured_ratio("G_progression", 3, 4, 3) - 0.546368) < 5e-6
+    assert abs(conjectured_ratio("G", 3, 3, 1) - 0.818547) < 5e-6
+    assert abs(conjectured_ratio("G", 3, 4, 3) - 0.546368) < 5e-6
 
 
 def test_lower_bound_reference_values():
@@ -275,14 +277,16 @@ def test_lower_bound_reference_values():
     assert 0.4 < lower_bound_ratio("G", 3) < 0.44
     assert abs(lower_bound_ratio("G", 3) - 0.401671) < 5e-6
     # zero-density progressions give trivial lower bound 1
-    assert lower_bound_ratio("G_progression", 3, 12, 1) == 1.0
+    assert lower_bound_ratio("G", 3, 12, 1) == 1.0
 
 
 def test_ratio_kind_validation():
     with pytest.raises(ValueError):
         conjectured_ratio("bogus", 3)
     with pytest.raises(ValueError):
-        conjectured_ratio("G", 3, 4, 1)
+        conjectured_ratio("G_progression", 3, 4, 1)
+    with pytest.raises(ValueError):
+        conjectured_ratio("G", 3, 4, 2)
     with pytest.raises(ValueError):
         conjectured_ratio("Hplus", 3, 4, 1)
     with pytest.raises(ValueError):

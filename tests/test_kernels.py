@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from genocchi.kernels import (
     MAX_KERNEL_PRIME,
-    active_backend,
     half_coefficients,
     power_sums,
     power_sums_numpy,
@@ -76,26 +71,3 @@ def test_power_sums_raises_when_rounding_margin_is_exceeded(monkeypatch):
     monkeypatch.setattr(kernels, "_MAX_ROUNDING_ERROR", -1.0)
     with pytest.raises(ArithmeticError):
         power_sums(101, half_coefficients(101, primitive_root(101)))
-
-
-def test_numpy_backend_forced_by_env_flag():
-    code = (
-        "import genocchi.kernels as k; import numpy as np;"
-        "from genocchi.modarith import primitive_root;"
-        "assert k.active_backend() == 'numpy';"
-        "c = k.half_coefficients(37, primitive_root(37));"
-        "print(int(k.power_sums(37, c)[15]))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "GENOCCHI_BACKEND": "numpy"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    # index 15 is subscript 32, the irregular index of 37: sum vanishes
-    assert proc.stdout.strip() == "0"
-
-
-def test_active_backend_reports_a_known_name():
-    assert active_backend() == "numpy"

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 
 import pytest
 
+from genocchi import survey as survey_mod
 from genocchi.classify import b_irregular_pairs, classify_prime
 from genocchi.cli import cli_main
 from genocchi.exactseq import bernoulli
+from genocchi.kernels import MAX_KERNEL_PRIME
 from genocchi.modarith import sieve_primes
 from genocchi.survey import (
     ClassificationCache,
@@ -39,26 +42,36 @@ def test_config_validation(tmp_cache):
         SurveyConfig(ell=3, x=1000, progressions=((4, 2),))
     with pytest.raises(ValueError):
         SurveyConfig(ell=3, x=1000, variants=("Hplus",), progressions=((4, 1),))
+    # beyond the kernel bound: rejected before any prime is computed
+    with pytest.raises(ValueError, match="kernel"):
+        SurveyConfig(ell=3, x=MAX_KERNEL_PRIME + 1)
+    SurveyConfig(ell=3, x=MAX_KERNEL_PRIME)
 
 
 # ---------------------------------------------------------------- counting
 
 
 def test_survey_counts_and_convention(tmp_cache):
-    rows = run_survey(small_config(tmp_cache, x=1000, variants=("G",)))
-    (row,) = rows
+    progressions = ((1, 1), (3, 2), (4, 3))
+    rows = run_survey(small_config(tmp_cache, x=1000, variants=("G",), progressions=progressions))
+    row = rows[0]
     primes = [int(p) for p in sieve_primes(1000)]
     assert row.count_primes == len(primes) == 168  # denominator includes 2 and ell
-    expected = 0
+    flagged = []
     for p in primes:
         if p == 2:
             continue
         b = bool(b_irregular_pairs(p)) if p >= 5 else False
         if classify_prime(3, p, b).g_irregular:
-            expected += 1
-    assert row.count_irregular == expected
-    assert row.experimental == round(expected / 168, 6)
+            flagged.append(p)
+    assert row.count_irregular == len(flagged)
+    assert row.experimental == round(len(flagged) / 168, 6)
     assert 0.0 <= row.experimental <= 1.0
+    # the per-prime loop is the reference for the mask counts in every class
+    for r, (d, a) in zip(rows, progressions):
+        assert (r.d, r.a) == (d, a)
+        assert r.count_irregular == sum(1 for p in flagged if p % d == a % d)
+        assert r.count_primes == sum(1 for p in primes if p % d == a % d)
 
 
 def test_progression_counts_partition_total(tmp_cache):
@@ -106,14 +119,43 @@ def test_survey_flags_match_exact_divisibility(tmp_cache, bernoulli_800):
 # ---------------------------------------------------------------- cache behavior
 
 
-def test_cache_warm_equals_cold(tmp_cache):
-    cfg = small_config(tmp_cache)
-    cold = run_survey(cfg)
-    warm = run_survey(cfg)
-    assert cold == warm
+def test_cache_warm_equals_cold(tmp_cache, monkeypatch):
+    # ell = 5 puts p = ell > 3 on the warm path, where its orders are stored as 0
+    for ell in (2, 3, 5):
+        root = tmp_cache / f"ell{ell}"
+        cfg = small_config(root, ell=ell, variants=("G", "Hminus", "Hplus"))
+        cold = run_survey(cfg)
+        cache = ClassificationCache(root)
+        assert cache._b_path().exists()
+        assert cache._orders_path(ell).exists()
+        with monkeypatch.context() as m:
+            m.setattr(survey_mod, "classify_prime", _no_recompute)
+            m.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
+            warm = run_survey(cfg)
+        assert cold == warm, ell
+
+
+def _no_recompute(*args):
+    raise AssertionError("a warm run recomputed what the cache holds")
+
+
+def test_cache_write_is_atomic(tmp_cache, monkeypatch):
+    cfg = small_config(tmp_cache, x=500)
+    run_survey(cfg)
     cache = ClassificationCache(resolve_cache_dir(tmp_cache))
-    assert cache._b_path().exists()
-    assert cache._orders_path(3).exists()
+    before = {path.name: path.read_bytes() for path in tmp_cache.iterdir()}
+
+    def interrupted(src, dst):
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(OSError):
+        cache.save_b_pairs({5: (), 37: (32,)})
+    with pytest.raises(OSError):
+        cache.save_classifications(3, {})
+    # the old files are untouched and no temp file is left behind
+    assert {path.name: path.read_bytes() for path in tmp_cache.iterdir()} == before
+    assert cache.load_b_pairs() and cache.load_orders(3)
 
 
 def test_cache_corruption_reported(tmp_cache):
