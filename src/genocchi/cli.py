@@ -28,22 +28,23 @@ from .survey import (
     run_table,
 )
 
-_DENSITY_KINDS = (
-    "g",
-    "primroot",
-    "hminus",
-    "hminus-total",
-    "near-1",
-    "near-2",
-    "sq2",
-    "rho",
-    "g-conj",
-    "hminus-conj",
-    "hplus-conj",
-    "g-lower",
-    "hminus-lower",
-    "hplus-lower",
-)
+#: `density --kind` name -> value at (ell, d, a): a LinearInA, a Fraction or a ratio float
+_DENSITY_KINDS = {
+    "g": density_mod.delta_g,
+    "primroot": density_mod.alpha_primroot,
+    "hminus": density_mod.alpha_minus,
+    "hminus-total": density_mod.delta_minus_total,
+    "near-1": lambda ell, d, a: density_mod.delta_near_primroot(ell, 1),
+    "near-2": lambda ell, d, a: density_mod.delta_near_primroot(ell, 2),
+    "sq2": lambda ell, d, a: density_mod.delta_ell_sq_2(ell),
+    "rho": lambda ell, d, a: density_mod.rho_plus_one(ell),
+    "g-conj": lambda ell, d, a: density_mod.conjectured_ratio("G", ell, d, a),
+    "hminus-conj": lambda ell, d, a: density_mod.conjectured_ratio("Hminus", ell, d, a),
+    "hplus-conj": lambda ell, d, a: density_mod.conjectured_ratio("Hplus", ell, d, a),
+    "g-lower": lambda ell, d, a: density_mod.lower_bound_ratio("G", ell, d, a),
+    "hminus-lower": lambda ell, d, a: density_mod.lower_bound_ratio("Hminus", ell, d, a),
+    "hplus-lower": lambda ell, d, a: density_mod.lower_bound_ratio("Hplus", ell, d, a),
+}
 
 _VARIANT_ALIASES = {"g": "G", "hminus": "Hminus", "hplus": "Hplus"}
 
@@ -129,7 +130,6 @@ def _cmd_survey(args) -> int:
         variants=tuple(_VARIANT_ALIASES[v] for v in (args.variant or ["g"])),
         threads=args.threads,
         cache_dir=args.cache_dir,
-        output_format=args.format,
         quiet=args.quiet,
         deterministic=args.deterministic,
     )
@@ -152,32 +152,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    kind, ell, d, a = args.kind, args.ell, args.d, args.a
-    linear = {
-        "g": lambda: density_mod.delta_g(ell, d, a),
-        "primroot": lambda: density_mod.alpha_primroot(ell, d, a),
-        "hminus": lambda: density_mod.alpha_minus(ell, d, a),
-        "hminus-total": lambda: density_mod.delta_minus_total(ell, d, a),
-        "near-1": lambda: density_mod.delta_near_primroot(ell, 1),
-        "near-2": lambda: density_mod.delta_near_primroot(ell, 2),
-        "sq2": lambda: density_mod.delta_ell_sq_2(ell),
-    }
-    ratio = {
-        "g-conj": lambda: density_mod.conjectured_ratio("G", ell, d, a),
-        "hminus-conj": lambda: density_mod.conjectured_ratio("Hminus", ell, d, a),
-        "hplus-conj": lambda: density_mod.conjectured_ratio("Hplus", ell, d, a),
-        "g-lower": lambda: density_mod.lower_bound_ratio("G", ell, d, a),
-        "hminus-lower": lambda: density_mod.lower_bound_ratio("Hminus", ell, d, a),
-        "hplus-lower": lambda: density_mod.lower_bound_ratio("Hplus", ell, d, a),
-    }
-    if kind in linear:
-        value = linear[kind]()
+    value = _DENSITY_KINDS[args.kind](args.ell, args.d, args.a)
+    if isinstance(value, float):
+        print(f"{value:.9f}")
+    elif isinstance(value, density_mod.LinearInA):
         print(f"{value} = {value.value():.9f}")
-    elif kind == "rho":
-        rho = density_mod.rho_plus_one(ell)
-        print(f"{rho} = {float(rho):.9f}")
     else:
-        print(f"{ratio[kind]():.9f}")
+        print(f"{value} = {float(value):.9f}")
     return 0
 
 

@@ -16,7 +16,6 @@ __all__ = [
     "factorize",
     "divisors",
     "pow_mod",
-    "inverse_mod",
     "mult_order",
     "jacobi",
     "primitive_root",
@@ -96,11 +95,6 @@ def pow_mod(base: int, exp: int, modulus: int) -> int:
     if exp < 0:
         raise ValueError(f"exponent must be >= 0, got {exp}")
     return pow(base, exp, modulus)
-
-
-def inverse_mod(a: int, n: int) -> int:
-    """Multiplicative inverse of a mod n; a must be coprime to n."""
-    return pow(a, -1, n)
 
 
 def mult_order(g: int, p: int) -> int:

@@ -33,6 +33,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -55,10 +56,11 @@ __all__ = [
 ]
 
 VARIANTS = ("G", "Hminus", "Hplus")
-FORMATS = ("text", "csv", "json")
 
 CACHE_ENV = "GENOCCHI_CACHE_DIR"
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "genocchi"
+#: first line of every cache file; see ClassificationCache for when to bump it
+CACHE_HEADER = "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
 
 CSV_HEADER = (
     "ell,d,a,x,count_irregular,count_primes,experimental,conjectured,lower_bound,variant"
@@ -83,7 +85,6 @@ class SurveyConfig:
     variants: tuple[str, ...] = ("G",)
     threads: int = 0  # 0 means use all available cores
     cache_dir: Path | str | None = None
-    output_format: str = "text"
     quiet: bool = False
     deterministic: bool = False
 
@@ -97,8 +98,6 @@ class SurveyConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown format {self.output_format!r}")
         for d, a in self.progressions:
             if d < 1 or not 1 <= a <= d or math.gcd(a, d) != 1:
                 raise ValueError(f"progression ({d}, {a}) must have 1 <= a <= d coprime")
@@ -121,22 +120,28 @@ class SurveyRow:
 
 
 def resolve_cache_dir(configured: Path | str | None) -> Path:
+    """An explicit directory wins; GENOCCHI_CACHE_DIR applies only when none is given."""
+    if configured is not None:
+        return Path(configured).expanduser()
     env = os.environ.get(CACHE_ENV)
     if env:
         return Path(env).expanduser()
-    if configured is not None:
-        return Path(configured).expanduser()
     return DEFAULT_CACHE_DIR
 
 
 class ClassificationCache:
     """File-backed cache: one CSV per concern under the cache directory.
 
-    birregular.csv holds `p,b_irregular,indices` (indices ';'-joined); the
-    per-base files orders_<ell>.csv hold `p,ord,ord_sq,jacobi,g,h,hminus,hplus`.
-    Flags are recomputed from the stored orders on load, so the two files can
-    never drift apart. All writes go through a single writer (the survey main
-    thread), and each replaces its file atomically.
+    Every file is the line CACHE_HEADER, then one row per prime: birregular.csv
+    holds `p,b_irregular,indices` (indices ';'-joined) for primes p >= 5, and
+    orders_<ell>.csv holds `p,ord,ord_sq,jacobi` for odd primes. Flags are
+    rebuilt from the stored orders on load, so the two files never drift apart.
+
+    A file whose first line is not CACHE_HEADER (another schema or kernel) reads
+    as absent: its primes are recomputed and the file rewritten. A malformed row
+    under the current header raises SurveyError. Bump the version in
+    CACHE_HEADER whenever the row layout or the stored values could change.
+    All writes come from the survey main thread and replace files atomically.
     """
 
     def __init__(self, root: Path):
@@ -149,70 +154,58 @@ class ClassificationCache:
         return self.root / f"orders_{ell}.csv"
 
     def load_b_pairs(self) -> dict[int, tuple[int, ...]]:
-        path = self._b_path()
-        if not path.exists():
-            return {}
-        out: dict[int, tuple[int, ...]] = {}
-        try:
-            for line in path.read_text().splitlines():
-                if not line or line.startswith("#") or line.startswith("p,"):
-                    continue
-                p_str, flag, idx = line.split(",")
-                indices = tuple(int(t) for t in idx.split(";") if t)
-                if bool(int(flag)) != bool(indices):
-                    raise ValueError("flag does not match index list")
-                out[int(p_str)] = indices
-        except (ValueError, IndexError) as exc:
-            raise SurveyError(
-                f"cache file {path} is corrupt ({exc}); delete it and re-run"
-            ) from exc
-        return out
+        return _read_rows(self._b_path(), _parse_b_row)
 
     def save_b_pairs(self, pairs: dict[int, tuple[int, ...]]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        lines = ["p,b_irregular,indices"]
-        for p in sorted(pairs):
-            idx = pairs[p]
-            lines.append(f"{p},{int(bool(idx))},{';'.join(map(str, idx))}")
-        _write_atomic(self._b_path(), "\n".join(lines) + "\n")
+        _write_rows(
+            self._b_path(),
+            ((p, int(bool(idx)), ";".join(map(str, idx))) for p, idx in sorted(pairs.items())),
+        )
 
     def load_orders(self, ell: int) -> dict[int, tuple[int, int, int]]:
-        path = self._orders_path(ell)
-        if not path.exists():
-            return {}
-        out: dict[int, tuple[int, int, int]] = {}
-        try:
-            for line in path.read_text().splitlines():
-                if not line or line.startswith("#") or line.startswith("p,"):
-                    continue
-                vals = [int(t) for t in line.split(",")]
-                if len(vals) != 8:
-                    raise ValueError(f"expected 8 fields, got {len(vals)}")
-                out[vals[0]] = (vals[1], vals[2], vals[3])
-        except ValueError as exc:
-            raise SurveyError(
-                f"cache file {path} is corrupt ({exc}); delete it and re-run"
-            ) from exc
-        return out
+        return _read_rows(self._orders_path(ell), _parse_orders_row)
 
     def save_classifications(self, ell: int, recs: dict[int, PrimeClassification]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        lines = ["p,ord,ord_sq,jacobi,g,h,hminus,hplus"]
-        for p in sorted(recs):
-            r = recs[p]
-            lines.append(
-                f"{p},{r.ord_ell},{r.ord_ell_sq},{r.jacobi_ell_p},"
-                f"{int(r.g_irregular)},{int(r.h_irregular)},"
-                f"{int(r.h_minus_irregular)},{int(r.h_plus_irregular)}"
-            )
-        _write_atomic(self._orders_path(ell), "\n".join(lines) + "\n")
+        _write_rows(
+            self._orders_path(ell),
+            ((p, r.ord_ell, r.ord_ell_sq, r.jacobi_ell_p) for p, r in sorted(recs.items())),
+        )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace path's contents all at once: an interrupted write leaves the old file."""
+def _parse_b_row(fields: list[str]) -> tuple[int, tuple[int, ...]]:
+    p, flag, idx = fields
+    indices = tuple(int(t) for t in idx.split(";") if t)
+    if bool(int(flag)) != bool(indices):
+        raise ValueError("flag does not match index list")
+    return int(p), indices
+
+
+def _parse_orders_row(fields: list[str]) -> tuple[int, tuple[int, int, int]]:
+    p, ord_ell, ord_ell_sq, jacobi = map(int, fields)
+    return p, (ord_ell, ord_ell_sq, jacobi)
+
+
+def _read_rows(path: Path, parse_row: Callable[[list[str]], tuple]) -> dict:
+    """The rows of one cache file keyed by prime; {} if it is absent or foreign."""
+    try:
+        lines = path.read_text(errors="replace").splitlines()
+    except FileNotFoundError:
+        return {}
+    if not lines or lines[0] != CACHE_HEADER:
+        return {}
+    try:
+        return dict(parse_row(line.split(",")) for line in lines[1:])
+    except ValueError as exc:
+        raise SurveyError(f"cache file {path} is corrupt ({exc}); delete it and re-run") from exc
+
+
+def _write_rows(path: Path, rows: Iterable[tuple]) -> None:
+    """Replace path by CACHE_HEADER and the rows at once; an interruption keeps the old file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [CACHE_HEADER, *(",".join(map(str, row)) for row in rows)]
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text("\n".join(lines) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -237,17 +230,17 @@ def _ensure_b_pairs(
     def work(p: int) -> tuple[int, tuple[int, ...]]:
         return p, tuple(pair.index for pair in b_irregular_pairs(p))
 
-    fresh: dict[int, tuple[int, ...]] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for done, (p, idx) in enumerate(pool.map(work, todo), 1):
-            fresh[p] = idx
-            if done % 500 == 0:
-                _progress(
-                    f"b-irregularity: {done}/{len(todo)} primes ({time.time() - start:.1f}s)",
-                    quiet,
-                )
-    known.update(fresh)
-    cache.save_b_pairs(known)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done, (p, idx) in enumerate(pool.map(work, todo), 1):
+                known[p] = idx
+                if done % 500 == 0:
+                    _progress(
+                        f"b-irregularity: {done}/{len(todo)} primes ({time.time() - start:.1f}s)",
+                        quiet,
+                    )
+    finally:  # a failing prime must not cost the ones already finished
+        cache.save_b_pairs(known)
     _progress(f"b-irregularity: {len(todo)} primes in {time.time() - start:.1f}s", quiet)
     return known
 

@@ -1,5 +1,6 @@
 import pytest
 
+from genocchi import survey
 from genocchi.exactseq import _CACHE
 
 
@@ -10,9 +11,14 @@ def bernoulli_800():
     return _CACHE
 
 
+@pytest.fixture(autouse=True)
+def _no_user_cache(tmp_path, monkeypatch):
+    """No test reads or writes the user's survey cache, whatever its environment."""
+    monkeypatch.delenv(survey.CACHE_ENV, raising=False)
+    monkeypatch.setattr(survey, "DEFAULT_CACHE_DIR", tmp_path / "default_cache")
+
+
 @pytest.fixture()
-def tmp_cache(tmp_path, monkeypatch):
-    """Isolated survey cache directory; also shields tests from GENOCCHI_CACHE_DIR."""
-    monkeypatch.delenv("GENOCCHI_CACHE_DIR", raising=False)
-    d = tmp_path / "cache"
-    return d
+def tmp_cache(tmp_path):
+    """Isolated survey cache directory."""
+    return tmp_path / "cache"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from genocchi.exactseq import bernoulli
 from genocchi.kernels import MAX_KERNEL_PRIME
 from genocchi.modarith import sieve_primes
 from genocchi.survey import (
+    CACHE_HEADER,
     ClassificationCache,
     SurveyConfig,
     SurveyError,
@@ -162,18 +164,90 @@ def test_cache_corruption_reported(tmp_cache):
     cfg = small_config(tmp_cache, x=500)
     run_survey(cfg)
     path = ClassificationCache(resolve_cache_dir(tmp_cache))._b_path()
-    path.write_text("p,b_irregular,indices\n37,0,32\n")
+    # under the current header a bad row is damage, not a foreign file
+    path.write_text(f"{CACHE_HEADER}\n37,0,32\n")
     with pytest.raises(SurveyError, match="delete"):
         run_survey(cfg)
 
 
+def test_foreign_cache_is_recomputed(tmp_path, monkeypatch):
+    """Files without CACHE_HEADER, here in the v1 layout, are recomputed and rewritten."""
+    cold_dir, old_dir = tmp_path / "cold", tmp_path / "old"
+    cfg = SurveyConfig(ell=3, x=1000, variants=("G", "Hminus", "Hplus"), quiet=True)
+    cold = run_survey(dataclasses.replace(cfg, cache_dir=cold_dir))
+    cold_cache, old_cache = ClassificationCache(cold_dir), ClassificationCache(old_dir)
+    b_pairs, orders = cold_cache.load_b_pairs(), cold_cache.load_orders(3)
+
+    # the v1 layout: a column-name line, and orders rows carrying four flag columns
+    old_dir.mkdir()
+    old_cache._b_path().write_text(
+        "p,b_irregular,indices\n"
+        + "".join(f"{p},{int(bool(i))},{';'.join(map(str, i))}\n" for p, i in b_pairs.items())
+    )
+    old_cache._orders_path(3).write_text(
+        "p,ord,ord_sq,jacobi,g,h,hminus,hplus\n"
+        + "".join(f"{p},{o},{o2},{j},0,0,0,0\n" for p, (o, o2, j) in orders.items())
+    )
+    assert old_cache.load_b_pairs() == {} and old_cache.load_orders(3) == {}
+
+    computed = []
+    real = survey_mod.b_irregular_pairs
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", lambda p: computed.append(p) or real(p))
+    assert run_survey(dataclasses.replace(cfg, cache_dir=old_dir)) == cold
+    assert sorted(computed) == sorted(b_pairs)
+    for name in ("birregular.csv", "orders_3.csv"):
+        assert (old_dir / name).read_text() == (cold_dir / name).read_text()
+        assert (old_dir / name).read_text().startswith(CACHE_HEADER + "\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"",
+        b"\n5,0,\n",
+        b"# genocchi cache v1\n5,0,\n",
+        CACHE_HEADER.encode() + b" \n5,0,\n",
+        b"\xff\xfe5",  # not even text
+    ],
+)
+def test_any_other_first_line_reads_as_absent(tmp_cache, text):
+    cache = ClassificationCache(tmp_cache)
+    tmp_cache.mkdir()
+    cache._b_path().write_bytes(text)
+    assert cache.load_b_pairs() == {}
+    run_survey(small_config(tmp_cache, x=500))
+    assert cache._b_path().read_text().startswith(CACHE_HEADER + "\n")
+    assert len(cache.load_b_pairs()) == 93  # primes 5 <= p <= 500
+
+
+def test_b_stage_failure_keeps_finished_primes(tmp_cache, monkeypatch):
+    real = survey_mod.b_irregular_pairs
+
+    def failing_at_5(p):
+        if p == 5:  # computed last: the B-stage runs largest first
+            raise ArithmeticError("kernel failure")
+        return real(p)
+
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", failing_at_5)
+    with pytest.raises(ArithmeticError):
+        run_survey(small_config(tmp_cache, x=500))
+    saved = ClassificationCache(tmp_cache).load_b_pairs()
+    assert sorted(saved) == [int(p) for p in sieve_primes(500) if p > 5]
+    assert saved[37] == (32,)
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("GENOCCHI_CACHE_DIR", str(tmp_path / "env_cache"))
-    assert resolve_cache_dir(tmp_path / "other") == tmp_path / "env_cache"
-    cfg = SurveyConfig(ell=3, x=500, cache_dir=tmp_path / "other", quiet=True)
-    run_survey(cfg)
+    # an explicit directory wins; the variable applies only when none is given
+    assert resolve_cache_dir(tmp_path / "other") == tmp_path / "other"
+    assert resolve_cache_dir(None) == tmp_path / "env_cache"
+    run_survey(SurveyConfig(ell=3, x=500, cache_dir=tmp_path / "other", quiet=True))
+    assert (tmp_path / "other" / "birregular.csv").exists()
+    assert not (tmp_path / "env_cache").exists()
+    run_survey(SurveyConfig(ell=3, x=500, quiet=True))
     assert (tmp_path / "env_cache" / "birregular.csv").exists()
-    assert not (tmp_path / "other").exists()
+    monkeypatch.delenv("GENOCCHI_CACHE_DIR")
+    assert resolve_cache_dir(None) == survey_mod.DEFAULT_CACHE_DIR
 
 
 # ---------------------------------------------------------------- emission
