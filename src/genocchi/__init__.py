@@ -39,7 +39,7 @@ from .exactseq import (
     valuation,
     von_staudt_clausen_check,
 )
-from .modarith import jacobi, mult_order, pow_mod, sieve_primes
+from .modarith import jacobi, mult_order, sieve_primes
 from .survey import SurveyConfig, SurveyRow, emit_table, run_survey, run_table
 
 __version__ = "0.1.0"
@@ -73,7 +73,6 @@ __all__ = [
     "lower_bound_ratio",
     "mult_order",
     "order_criterion_oracle",
-    "pow_mod",
     "r_factor",
     "rho_plus_one",
     "run_survey",

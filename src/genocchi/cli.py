@@ -16,17 +16,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import classify as classify_mod
 from . import density as density_mod
 from .exactseq import bernoulli, genocchi_number
 from .survey import (
+    TABLE_PRESETS,
     SurveyConfig,
     SurveyError,
     emit_table,
     run_survey,
     run_table,
 )
+
+_VARIANT_ALIASES = {kind.lower(): kind for kind in density_mod.RATIO_KINDS}
+#: `density --kind` suffix -> ratio function; "g-conj" is conjectured_ratio("G", ell, d, a)
+_RATIOS = {"conj": density_mod.conjectured_ratio, "lower": density_mod.lower_bound_ratio}
 
 #: `density --kind` name -> value at (ell, d, a): a LinearInA, a Fraction or a ratio float
 _DENSITY_KINDS = {
@@ -38,15 +44,8 @@ _DENSITY_KINDS = {
     "near-2": lambda ell, d, a: density_mod.delta_near_primroot(ell, 2),
     "sq2": lambda ell, d, a: density_mod.delta_ell_sq_2(ell),
     "rho": lambda ell, d, a: density_mod.rho_plus_one(ell),
-    "g-conj": lambda ell, d, a: density_mod.conjectured_ratio("G", ell, d, a),
-    "hminus-conj": lambda ell, d, a: density_mod.conjectured_ratio("Hminus", ell, d, a),
-    "hplus-conj": lambda ell, d, a: density_mod.conjectured_ratio("Hplus", ell, d, a),
-    "g-lower": lambda ell, d, a: density_mod.lower_bound_ratio("G", ell, d, a),
-    "hminus-lower": lambda ell, d, a: density_mod.lower_bound_ratio("Hminus", ell, d, a),
-    "hplus-lower": lambda ell, d, a: density_mod.lower_bound_ratio("Hplus", ell, d, a),
+    **{f"{v}-{r}": partial(f, k) for r, f in _RATIOS.items() for v, k in _VARIANT_ALIASES.items()},
 }
-
-_VARIANT_ALIASES = {"g": "G", "hminus": "Hminus", "hplus": "Hplus"}
 
 
 def _parse_progression(text: str) -> tuple[int, int]:
@@ -66,7 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sv = sub.add_parser("survey", help="classify primes up to x and print ratio rows")
+    shared = argparse.ArgumentParser(add_help=False)  # the options of survey and table
+    shared.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    shared.add_argument("--threads", type=int, default=0)
+    shared.add_argument("--cache-dir", default=None)
+    shared.add_argument("--quiet", action="store_true")
+    shared.add_argument("--deterministic", action="store_true")
+
+    sv = sub.add_parser(
+        "survey", parents=[shared], help="classify primes up to x and print ratio rows"
+    )
     sv.add_argument("--ell", type=int, required=True)
     sv.add_argument("--x", type=int, required=True)
     sv.add_argument(
@@ -82,20 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_VARIANT_ALIASES),
         help="sequence family to count (repeatable; default g)",
     )
-    sv.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    sv.add_argument("--threads", type=int, default=0)
-    sv.add_argument("--cache-dir", default=None)
-    sv.add_argument("--quiet", action="store_true")
-    sv.add_argument("--deterministic", action="store_true")
 
-    tb = sub.add_parser("table", help="reproduce a reference table")
-    tb.add_argument("--which", choices=("g1", "hpm", "g3"), required=True)
+    tb = sub.add_parser("table", parents=[shared], help="reproduce a reference table")
+    tb.add_argument("--which", choices=TABLE_PRESETS, required=True)
     tb.add_argument("--x", type=int, default=100_000)
-    tb.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    tb.add_argument("--threads", type=int, default=0)
-    tb.add_argument("--cache-dir", default=None)
-    tb.add_argument("--quiet", action="store_true")
-    tb.add_argument("--deterministic", action="store_true")
 
     de = sub.add_parser("density", help="evaluate a closed-form density")
     de.add_argument("--kind", choices=_DENSITY_KINDS, required=True)

@@ -10,6 +10,9 @@ a set cut out by a multiplicative-order condition on a prime base ell:
   delta_minus_total  ord_p(ell)    in {p-1, (p-1)/2}
   delta_g            ord_p(ell**2) = (p - 1) / 2    (the G-regular candidates)
 
+Every entry point takes a prime base ell and raises ValueError for any other;
+this module alone decides which (kind, ell, d, a) has a closed form.
+
 All case tables are evaluated in exact Fractions; floats appear only when a
 value is rendered against the reference Artin constant. The independent
 tables that cross-check these (and the Euler product for the constant) live
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .modarith import factorize, jacobi
+from .modarith import factorize, is_prime, jacobi
 
 __all__ = [
     "ARTIN_REFERENCE_DIGITS",
@@ -79,7 +82,13 @@ class LinearInA:
         return f"{self.r0} + {self.r1} * A"
 
 
+def _require_prime(ell: int) -> None:
+    if not is_prime(ell):
+        raise ValueError(f"ell must be a prime, got {ell}")
+
+
 def _canonical(ell: int, d: int, a: int) -> tuple[int, int, int]:
+    _require_prime(ell)
     if d < 1:
         raise ValueError(f"modulus d must be >= 1, got {d}")
     a %= d
@@ -108,8 +117,6 @@ def r_factor(d: int, a: int) -> Fraction:
 def _require_odd_prime(ell: int) -> None:
     if ell == 2:
         raise ValueError("closed form only covers odd prime bases")
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError(f"ell must be an odd prime, got {ell}")
 
 
 def _sym_a_over_ell(a: int, ell: int) -> int:
@@ -192,7 +199,6 @@ def delta_g(ell: int, d: int, a: int) -> LinearInA:
     ell, d, a = _canonical(ell, d, a)
     if ell == 2:
         return _delta_g_two(d, a)
-    _require_odd_prime(ell)
     return LinearInA(Fraction(0), _c_g(ell, d, a) * r_factor(d, a))
 
 
@@ -241,6 +247,7 @@ def delta_minus_total(ell: int, d: int, a: int) -> LinearInA:
 
 def delta_near_primroot(ell: int, t: int) -> LinearInA:
     """Density of primes with ord_p(ell) = (p-1)/t for t in {1, 2}."""
+    _require_prime(ell)
     if t not in (1, 2):
         raise ValueError(f"t must be 1 or 2, got {t}")
     L = ell * ell - ell - 1
@@ -257,6 +264,7 @@ def delta_near_primroot(ell: int, t: int) -> LinearInA:
 
 def delta_ell_sq_2(ell: int) -> LinearInA:
     """Density of primes with ord_p(ell**2) = (p-1)/2, over all primes."""
+    _require_prime(ell)
     if ell == 2:
         return LinearInA.of(0, Fraction(3, 2))
     L = ell * ell - ell - 1
@@ -265,12 +273,8 @@ def delta_ell_sq_2(ell: int) -> LinearInA:
 
 def rho_plus_one(ell: int) -> Fraction:
     """Density of prime divisors of the sequence ell**n + 1."""
+    _require_prime(ell)
     return Fraction(17, 24) if ell == 2 else Fraction(2, 3)
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in RATIO_KINDS:
-        raise ValueError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
 
 
 def _delta_for_kind(kind: str, ell: int, d: int, a: int) -> LinearInA:
@@ -288,16 +292,14 @@ def _delta_for_kind(kind: str, ell: int, d: int, a: int) -> LinearInA:
             raise ValueError("Hplus requires d = a = 1 (general progressions unsupported)")
         base = delta_near_primroot(ell, 1)
         return LinearInA(base.r0 + 1 - rho_plus_one(ell), base.r1)
-    raise AssertionError(kind)
+    raise ValueError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
 
 
 def conjectured_ratio(kind: str, ell: int, d: int = 1, a: int = 1) -> float:
     """Conjectured share of irregular primes: 1 - delta / sqrt(e)."""
-    _check_kind(kind)
     return 1.0 - _delta_for_kind(kind, ell, d, a).value() / SQRT_E
 
 
 def lower_bound_ratio(kind: str, ell: int, d: int = 1, a: int = 1) -> float:
     """Unconditional lower bound on the share of irregular primes: 1 - delta."""
-    _check_kind(kind)
     return max(0.0, 1.0 - _delta_for_kind(kind, ell, d, a).value())

@@ -15,7 +15,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "divisors",
-    "pow_mod",
     "mult_order",
     "jacobi",
     "primitive_root",
@@ -86,15 +85,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def pow_mod(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus with exact arbitrary-precision arithmetic."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {exp}")
-    return pow(base, exp, modulus)
 
 
 def mult_order(g: int, p: int) -> int:

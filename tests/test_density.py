@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from genocchi.density import (
     ARTIN,
     ARTIN_REFERENCE_DIGITS,
+    RATIO_KINDS,
     LinearInA,
     alpha_minus,
     alpha_primroot,
@@ -278,6 +280,31 @@ def test_lower_bound_reference_values():
     assert abs(lower_bound_ratio("G", 3) - 0.401671) < 5e-6
     # zero-density progressions give trivial lower bound 1
     assert lower_bound_ratio("G", 3, 12, 1) == 1.0
+
+
+@pytest.mark.parametrize("ell", [1, 4, 9, 15])
+def test_every_density_rejects_a_base_that_is_not_prime(ell):
+    calls = [
+        partial(alpha_primroot, ell, 1, 1),
+        partial(alpha_minus, ell, 1, 1),
+        partial(delta_g, ell, 1, 1),
+        partial(delta_g, ell, 4, 1),
+        partial(delta_minus_total, ell, 1, 1),
+        partial(delta_near_primroot, ell, 1),
+        partial(delta_near_primroot, ell, 2),
+        partial(delta_ell_sq_2, ell),
+        partial(rho_plus_one, ell),
+    ]
+    calls += [
+        partial(ratio, kind, ell, d, a)
+        for ratio in (conjectured_ratio, lower_bound_ratio)
+        for kind in RATIO_KINDS
+        for d, a in ((1, 1), (4, 1))
+        if kind != "Hplus" or d == 1
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="prime"):
+            call()
 
 
 def test_ratio_kind_validation():

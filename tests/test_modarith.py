@@ -9,7 +9,6 @@ from genocchi.modarith import (
     is_prime,
     jacobi,
     mult_order,
-    pow_mod,
     primitive_root,
     sieve_primes,
 )
@@ -62,36 +61,6 @@ def test_factorize_roundtrip():
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
-
-
-def slow_pow(base, exp, mod):
-    """Square-and-multiply oracle, written independently of builtin pow."""
-    result = 1 % mod
-    base %= mod
-    while exp:
-        if exp & 1:
-            result = result * base % mod
-        base = base * base % mod
-        exp >>= 1
-    return result
-
-
-def test_pow_mod_small():
-    assert pow_mod(2, 2, 3) == 1
-    for a in (5, 12, 99):
-        assert pow_mod(a, 0, 7) == 1
-
-
-def test_pow_mod_large_against_oracle():
-    m = 2**61 - 1
-    assert pow_mod(3, 10**9, m) == slow_pow(3, 10**9, m)
-
-
-def test_pow_mod_domain_errors():
-    with pytest.raises(ValueError):
-        pow_mod(2, 3, 1)
-    with pytest.raises(ValueError):
-        pow_mod(2, -1, 7)
 
 
 def naive_order(g, p):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 
 import pytest
 
@@ -38,16 +39,37 @@ def test_config_validation(tmp_cache):
         SurveyConfig(ell=3, x=50)
     with pytest.raises(ValueError):
         SurveyConfig(ell=3, x=1000, variants=())
+    # no rows at all: nothing would check the base before the B-stage
+    with pytest.raises(ValueError):
+        SurveyConfig(ell=9, x=1000, progressions=())
     with pytest.raises(ValueError):
         SurveyConfig(ell=3, x=1000, variants=("Q",))
     with pytest.raises(ValueError):
         SurveyConfig(ell=3, x=1000, progressions=((4, 2),))
     with pytest.raises(ValueError):
         SurveyConfig(ell=3, x=1000, variants=("Hplus",), progressions=((4, 1),))
+    # the densities assume a prime base, and H- in progressions an odd one
+    for ell in (1, 9):
+        with pytest.raises(ValueError, match="prime"):
+            SurveyConfig(ell=ell, x=1000)
+    with pytest.raises(ValueError, match="odd"):
+        SurveyConfig(ell=2, x=1000, variants=("Hminus",), progressions=((4, 1),))
     # beyond the kernel bound: rejected before any prime is computed
     with pytest.raises(ValueError, match="kernel"):
         SurveyConfig(ell=3, x=MAX_KERNEL_PRIME + 1)
     SurveyConfig(ell=3, x=MAX_KERNEL_PRIME)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--ell", "9"], ["--ell", "2", "--variant", "hminus", "--progression", "4,1"]],
+)
+def test_bad_survey_fails_before_any_prime(tmp_cache, monkeypatch, options):
+    monkeypatch.setattr(survey_mod, "sieve_primes", _no_recompute)
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
+    argv = ["survey", "--x", "100000", "--cache-dir", str(tmp_cache), "--quiet", *options]
+    assert cli_main(argv) == 1
+    assert not tmp_cache.exists()
 
 
 # ---------------------------------------------------------------- counting
@@ -138,7 +160,7 @@ def test_cache_warm_equals_cold(tmp_cache, monkeypatch):
 
 
 def _no_recompute(*args):
-    raise AssertionError("a warm run recomputed what the cache holds")
+    raise AssertionError("computed what the cache or the config should have settled")
 
 
 def test_cache_write_is_atomic(tmp_cache, monkeypatch):
@@ -234,6 +256,29 @@ def test_b_stage_failure_keeps_finished_primes(tmp_cache, monkeypatch):
     saved = ClassificationCache(tmp_cache).load_b_pairs()
     assert sorted(saved) == [int(p) for p in sieve_primes(500) if p > 5]
     assert saved[37] == (32,)
+
+
+def test_b_stage_failure_keeps_primes_finished_after_it(tmp_cache, monkeypatch):
+    real = survey_mod.b_irregular_pairs
+    finished_97 = threading.Event()
+
+    def failing_at_101(p):
+        if p == 101:  # 97 is submitted next, so the other thread takes it
+            finished_97.wait(timeout=60)
+            raise ArithmeticError("kernel failure")
+        pairs = real(p)
+        if p == 97:
+            finished_97.set()
+        return pairs
+
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", failing_at_101)
+    with pytest.raises(ArithmeticError):
+        run_survey(small_config(tmp_cache, x=500, threads=2))
+    assert finished_97.is_set()
+    saved = ClassificationCache(tmp_cache).load_b_pairs()
+    assert 101 not in saved and 97 in saved
+    # every prime submitted before 101 had started, so it finished and was saved
+    assert {int(p) for p in sieve_primes(500) if p > 101} <= saved.keys()
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
@@ -358,8 +403,13 @@ def test_cli_usage_error_exit_2():
 
 
 def test_cli_computation_error_exit_1(capsys):
-    assert cli_main(["density", "--kind", "g", "--ell", "3", "--d", "4", "--a", "2"]) == 1
-    assert "error:" in capsys.readouterr().err
+    for argv in (
+        ["density", "--kind", "g", "--ell", "3", "--d", "4", "--a", "2"],
+        ["density", "--kind", "g-conj", "--ell", "4"],
+    ):
+        assert cli_main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err, argv
 
 
 def test_cli_help_exits_zero():
