@@ -21,10 +21,8 @@ from .density import (
     alpha_minus,
     alpha_primroot,
     conjectured_ratio,
-    delta_ell_sq_2,
     delta_g,
     delta_minus_total,
-    delta_near_primroot,
     lower_bound_ratio,
     r_factor,
     rho_plus_one,
@@ -59,10 +57,8 @@ __all__ = [
     "class_number_neg_p",
     "classify_prime",
     "conjectured_ratio",
-    "delta_ell_sq_2",
     "delta_g",
     "delta_minus_total",
-    "delta_near_primroot",
     "divides_sequence",
     "emit_table",
     "emma_lehmer_check",

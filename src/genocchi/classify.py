@@ -2,9 +2,10 @@
 
 The fast path classifies a prime from multiplicative orders plus a
 B-irregularity flag. The rules (order thresholds and the p = 3 and p = ell
-edge cases) live in one function, `classify_from_orders`; `classify_prime`
-computes the orders for it, and the survey feeds it orders read from its
-cache. Everything else in this module exists to check that path:
+edge cases) live in one function, `classify_from_orders`. `prime_orders`
+checks its inputs and computes the orders for it, `classify_prime` joins the
+two, and the survey feeds it orders read from its cache. Everything else in
+this module exists to check that path:
 congruence oracles (Voronoi, Kummer, Lehmer), exact p-adic valuation formulas,
 and brute-force divisor scans.
 
@@ -32,6 +33,7 @@ __all__ = [
     "b_irregular_pairs",
     "classify_prime",
     "classify_from_orders",
+    "prime_orders",
     "order_criterion_oracle",
     "ORDER_CRITERIA",
     "divides_sequence",
@@ -85,17 +87,26 @@ def b_irregular_pairs(p: int) -> list[IrregularPair]:
     return [IrregularPair(p, 2 * (int(i) + 1)) for i in np.flatnonzero(sums == 0)]
 
 
-def classify_prime(ell: int, p: int, b_irregular: bool) -> PrimeClassification:
-    """Classify an odd prime p for base ell from its orders and the supplied B-flag."""
+def prime_orders(ell: int, p: int) -> tuple[int, int, int]:
+    """(ord_p(ell), ord_p(ell**2), (ell/p)) for a prime ell and an odd prime p.
+
+    One order computation gives all three: with o = ord_p(ell),
+    ord_p(ell**2) = o / gcd(o, 2), and by Euler's criterion (ell/p) = 1
+    exactly when o divides (p-1)/2. All three are 0 when p = ell.
+    """
     if p == 2:
         raise ValueError("2 is never classified; the definitions cover odd primes")
     if not is_prime(p) or not is_prime(ell):
         raise ValueError(f"both ell={ell} and p={p} must be prime")
     if p == ell:
-        orders = (0, 0, 0)
-    else:
-        orders = (mult_order(ell, p), mult_order(ell * ell % p, p), jacobi(ell, p))
-    return classify_from_orders(ell, p, orders, b_irregular)
+        return (0, 0, 0)
+    o = mult_order(ell, p)
+    return o, o // math.gcd(o, 2), 1 if (p - 1) // 2 % o == 0 else -1
+
+
+def classify_prime(ell: int, p: int, b_irregular: bool) -> PrimeClassification:
+    """Classify an odd prime p for base ell from its orders and the supplied B-flag."""
+    return classify_from_orders(ell, p, prime_orders(ell, p), b_irregular)
 
 
 def classify_from_orders(

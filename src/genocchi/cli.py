@@ -3,7 +3,10 @@
 Subcommands:
     survey     classify primes up to x and print experimental vs conjectured ratios
     table      reproduce one of the reference tables (g1, hpm, g3)
-    density    evaluate a closed-form density exactly and numerically
+    density    evaluate a closed-form density exactly and numerically: g,
+               primroot, hminus, hminus-total and rho at (ell, d, a), and
+               the <variant>-conj and <variant>-lower ratios; the all-primes
+               value is the default d = a = 1
     classify   one-line classification record for a single prime
     wieferich  scan a Wieferich set up to a limit
     bernoulli  exact Bernoulli number
@@ -40,9 +43,6 @@ _DENSITY_KINDS = {
     "primroot": density_mod.alpha_primroot,
     "hminus": density_mod.alpha_minus,
     "hminus-total": density_mod.delta_minus_total,
-    "near-1": lambda ell, d, a: density_mod.delta_near_primroot(ell, 1),
-    "near-2": lambda ell, d, a: density_mod.delta_near_primroot(ell, 2),
-    "sq2": lambda ell, d, a: density_mod.delta_ell_sq_2(ell),
     "rho": lambda ell, d, a: density_mod.rho_plus_one(ell),
     **{f"{v}-{r}": partial(f, k) for r, f in _RATIOS.items() for v, k in _VARIANT_ALIASES.items()},
 }
@@ -162,8 +162,9 @@ def _cmd_density(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = args.p
+    orders = classify_mod.prime_orders(args.ell, p)  # checks ell and p before the kernel runs
     b = bool(classify_mod.b_irregular_pairs(p)) if p >= 5 else False
-    c = classify_mod.classify_prime(args.ell, p, b)
+    c = classify_mod.classify_from_orders(args.ell, p, orders, b)
     print(
         f"p={c.p} ell={c.ell} ord={c.ord_ell} ord_sq={c.ord_ell_sq} "
         f"jacobi={c.jacobi_ell_p} B={int(c.b_irregular)} G={int(c.g_irregular)} "

@@ -10,8 +10,13 @@ a set cut out by a multiplicative-order condition on a prime base ell:
   delta_minus_total  ord_p(ell)    in {p-1, (p-1)/2}
   delta_g            ord_p(ell**2) = (p - 1) / 2    (the G-regular candidates)
 
-Every entry point takes a prime base ell and raises ValueError for any other;
-this module alone decides which (kind, ell, d, a) has a closed form.
+Each density is one function of (ell, d, a) with one coefficient table; the
+all-primes value is its (ell, 1, 1) case, and every ratio goes through it.
+Base ell = 2 has a closed form for delta_g in every class (its own table,
+split on 4 | d, 8 | d and a mod 8), but alpha_primroot and alpha_minus only
+over all primes (d = 1); they reject ell = 2 in a progression. Every entry
+point takes a prime base ell and raises ValueError for any other; this module
+alone decides which (kind, ell, d, a) has a closed form.
 
 All case tables are evaluated in exact Fractions; floats appear only when a
 value is rendered against the reference Artin constant. The independent
@@ -36,8 +41,6 @@ __all__ = [
     "delta_g",
     "alpha_minus",
     "delta_minus_total",
-    "delta_near_primroot",
-    "delta_ell_sq_2",
     "rho_plus_one",
     "conjectured_ratio",
     "lower_bound_ratio",
@@ -114,9 +117,9 @@ def r_factor(d: int, a: int) -> Fraction:
     return out
 
 
-def _require_odd_prime(ell: int) -> None:
-    if ell == 2:
-        raise ValueError("closed form only covers odd prime bases")
+def _require_odd_prime_in_progression(ell: int, d: int) -> None:
+    if ell == 2 and d != 1:
+        raise ValueError("closed form in a progression only covers odd prime bases")
 
 
 def _sym_a_over_ell(a: int, ell: int) -> int:
@@ -145,7 +148,7 @@ def _sym_minus_one(a: int) -> int:
 def alpha_primroot(ell: int, d: int, a: int) -> LinearInA:
     """Relative density of primes p = a mod d with ell a primitive root mod p."""
     ell, d, a = _canonical(ell, d, a)
-    _require_odd_prime(ell)
+    _require_odd_prime_in_progression(ell, d)
     L = ell * ell - ell - 1
     ell_div = d % ell == 0
     four_div = d % 4 == 0
@@ -181,13 +184,13 @@ def _c_g(ell: int, d: int, a: int) -> Fraction:
     return Fraction(0)  # 4*ell | d, a square mod ell, a = 1 mod 4
 
 
-def _delta_g_two(d: int, a: int) -> LinearInA:
-    # base 2 has its own constant table, split on 4 | d, 8 | d and a mod 8
+def _c_g_two(d: int, a: int) -> Fraction:
+    """Coefficient for delta_g at ell = 2, split by 4 | d, 8 | d and a mod 8."""
     if d % 4 != 0:
-        return LinearInA.of(Fraction(3, 4))
+        return Fraction(3, 2)
     if d % 8 != 0:
-        return LinearInA.of(Fraction(1, 2) if a % 4 == 1 else 1)
-    return LinearInA.of(0 if a % 8 == 1 else 1)
+        return Fraction(1) if a % 4 == 1 else Fraction(2)
+    return Fraction(0) if a % 8 == 1 else Fraction(2)  # 4 is never of order (p-1)/2 if p = 1 mod 8
 
 
 def delta_g(ell: int, d: int, a: int) -> LinearInA:
@@ -197,9 +200,8 @@ def delta_g(ell: int, d: int, a: int) -> LinearInA:
     bounds and conjectured ratios are built from 1 - delta_g.
     """
     ell, d, a = _canonical(ell, d, a)
-    if ell == 2:
-        return _delta_g_two(d, a)
-    return LinearInA(Fraction(0), _c_g(ell, d, a) * r_factor(d, a))
+    c = _c_g_two(d, a) if ell == 2 else _c_g(ell, d, a)
+    return LinearInA(Fraction(0), c * r_factor(d, a))
 
 
 def _c_minus(ell: int, d: int, a: int) -> Fraction:
@@ -207,8 +209,11 @@ def _c_minus(ell: int, d: int, a: int) -> Fraction:
 
     The 4 | d half of the table is the proof-backed one; the 4-does-not-divide
     half follows by averaging the two mod-4 lifts, which fixes the published
-    (ell | d, ell = 3 mod 4) row to (3 - (a/ell))/4.
+    (ell | d, ell = 3 mod 4) row to (3 - (a/ell))/4. Base 2 has only its
+    all-primes value 3/4.
     """
+    if ell == 2:
+        return Fraction(3, 4)
     L = ell * ell - ell - 1
     ell_div = d % ell == 0
     eps_ell = 1 if ell % 4 == 1 else -1  # (-1/ell)
@@ -233,7 +238,7 @@ def _c_minus(ell: int, d: int, a: int) -> Fraction:
 def alpha_minus(ell: int, d: int, a: int) -> LinearInA:
     """Relative density of primes p = a mod d with ord_p(ell) = (p-1)/2."""
     ell, d, a = _canonical(ell, d, a)
-    _require_odd_prime(ell)
+    _require_odd_prime_in_progression(ell, d)
     return LinearInA(Fraction(0), _c_minus(ell, d, a) * r_factor(d, a))
 
 
@@ -245,32 +250,6 @@ def delta_minus_total(ell: int, d: int, a: int) -> LinearInA:
     return alpha_minus(ell, d, a) + alpha_primroot(ell, d, a)
 
 
-def delta_near_primroot(ell: int, t: int) -> LinearInA:
-    """Density of primes with ord_p(ell) = (p-1)/t for t in {1, 2}."""
-    _require_prime(ell)
-    if t not in (1, 2):
-        raise ValueError(f"t must be 1 or 2, got {t}")
-    L = ell * ell - ell - 1
-    if t == 1:
-        if ell == 2 or ell % 4 == 3:
-            return LinearInA.of(0, 1)
-        return LinearInA.of(0, 1 + Fraction(1, L))
-    if ell == 2:
-        return LinearInA.of(0, Fraction(3, 4))
-    if ell % 4 == 1:
-        return LinearInA.of(0, Fraction(3, 4) * (1 - Fraction(1, L)))
-    return LinearInA.of(0, Fraction(3, 4) * (1 + Fraction(1, 3 * L)))
-
-
-def delta_ell_sq_2(ell: int) -> LinearInA:
-    """Density of primes with ord_p(ell**2) = (p-1)/2, over all primes."""
-    _require_prime(ell)
-    if ell == 2:
-        return LinearInA.of(0, Fraction(3, 2))
-    L = ell * ell - ell - 1
-    return LinearInA.of(0, Fraction(3, 2) * (1 + Fraction(1, 3 * L)))
-
-
 def rho_plus_one(ell: int) -> Fraction:
     """Density of prime divisors of the sequence ell**n + 1."""
     _require_prime(ell)
@@ -279,19 +258,13 @@ def rho_plus_one(ell: int) -> Fraction:
 
 def _delta_for_kind(kind: str, ell: int, d: int, a: int) -> LinearInA:
     if kind == "G":
-        # the all-primes row uses delta_ell_sq_2, which differs from delta_g at ell = 2
-        return delta_ell_sq_2(ell) if (d, a) == (1, 1) else delta_g(ell, d, a)
+        return delta_g(ell, d, a)
     if kind == "Hminus":
-        if ell == 2:
-            if (d, a) != (1, 1):
-                raise ValueError("Hminus progressions are only closed-form for odd ell")
-            return delta_near_primroot(2, 1) + delta_near_primroot(2, 2)
         return delta_minus_total(ell, d, a)
     if kind == "Hplus":
-        if (d, a) != (1, 1):
+        if d != 1:  # every a is the full prime set at d = 1
             raise ValueError("Hplus requires d = a = 1 (general progressions unsupported)")
-        base = delta_near_primroot(ell, 1)
-        return LinearInA(base.r0 + 1 - rho_plus_one(ell), base.r1)
+        return alpha_primroot(ell, 1, 1) + LinearInA.of(1 - rho_plus_one(ell))
     raise ValueError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
 
 

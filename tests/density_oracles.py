@@ -2,8 +2,8 @@
 
 Each one reaches a value of the package by another route: an alternative
 coefficient table for delta_g, a direct table for delta_minus_total (which the
-package computes as a sum of two components), and the Euler product for the
-Artin constant.
+package computes as a sum of two components), the all-primes densities as
+closed forms of ell alone, and the Euler product for the Artin constant.
 """
 
 from fractions import Fraction
@@ -13,12 +13,11 @@ import numpy as np
 from genocchi.density import (
     LinearInA,
     _canonical,
-    _delta_g_two,
-    _require_odd_prime,
+    _require_prime,
     _sym_a_over_ell,
     r_factor,
 )
-from genocchi.modarith import sieve_primes
+from genocchi.modarith import jacobi, sieve_primes
 
 
 def artin_euler_product(limit: int = 10**7) -> float:
@@ -46,13 +45,22 @@ def _c_g_alt(ell: int, d: int, a: int) -> Fraction:
     return 1 - Fraction(_sym_a_over_ell(a, ell))
 
 
+def _c_g_two_alt(d: int, a: int) -> Fraction:
+    """Equivalent ell = 2 table in symbol form: 8 | d plays the part of ell | d."""
+    if d % 4 != 0:
+        return Fraction(3, 2)
+    if a % 4 == 3:
+        return Fraction(2)
+    if d % 8 != 0:
+        return Fraction(1)
+    return 1 - Fraction(jacobi(2, a))
+
+
 def delta_g_alt(ell: int, d: int, a: int) -> LinearInA:
-    """delta_g evaluated through the alternative coefficient table."""
+    """delta_g evaluated through the alternative coefficient tables."""
     ell, d, a = _canonical(ell, d, a)
-    if ell == 2:
-        return _delta_g_two(d, a)
-    _require_odd_prime(ell)
-    return LinearInA(Fraction(0), _c_g_alt(ell, d, a) * r_factor(d, a))
+    c = _c_g_two_alt(d, a) if ell == 2 else _c_g_alt(ell, d, a)
+    return LinearInA(Fraction(0), c * r_factor(d, a))
 
 
 def _c2_direct(ell: int, d: int, a: int) -> Fraction:
@@ -79,3 +87,29 @@ def delta_minus_total_direct(ell: int, d: int, a: int) -> LinearInA:
     """delta_minus_total evaluated through the direct coefficient table."""
     ell, d, a = _canonical(ell, d, a)
     return LinearInA(Fraction(0), _c2_direct(ell, d, a) * r_factor(d, a))
+
+
+def delta_near_primroot(ell: int, t: int) -> LinearInA:
+    """Density of primes with ord_p(ell) = (p-1)/t for t in {1, 2}."""
+    _require_prime(ell)
+    if t not in (1, 2):
+        raise ValueError(f"t must be 1 or 2, got {t}")
+    L = ell * ell - ell - 1
+    if t == 1:
+        if ell == 2 or ell % 4 == 3:
+            return LinearInA.of(0, 1)
+        return LinearInA.of(0, 1 + Fraction(1, L))
+    if ell == 2:
+        return LinearInA.of(0, Fraction(3, 4))
+    if ell % 4 == 1:
+        return LinearInA.of(0, Fraction(3, 4) * (1 - Fraction(1, L)))
+    return LinearInA.of(0, Fraction(3, 4) * (1 + Fraction(1, 3 * L)))
+
+
+def delta_ell_sq_2(ell: int) -> LinearInA:
+    """Density of primes with ord_p(ell**2) = (p-1)/2, over all primes."""
+    _require_prime(ell)
+    if ell == 2:
+        return LinearInA.of(0, Fraction(3, 2))
+    L = ell * ell - ell - 1
+    return LinearInA.of(0, Fraction(3, 2) * (1 + Fraction(1, 3 * L)))

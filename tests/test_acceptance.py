@@ -1,18 +1,16 @@
 """Acceptance suite: one test per release criterion, each printing a PASS line.
 
-Run with `pytest -v -s tests/test_acceptance.py`. Criterion 4 runs by default
-and checks every experimental value of Tables 1-3 (ell = 3 rows of Table 3)
-as an exact prime count at x = 100000, the scale at which they were taken.
-Criterion 5 recomputes the base-2 and base-3 ratios at x = 100000 with
-progress output and is marked `slow`; select it with `pytest -m slow`.
+Run with `pytest -v -s tests/test_acceptance.py`. Criterion 4 checks every
+experimental value of Tables 1-3 (ell = 3 rows of Table 3) as an exact prime
+count at x = 100000, the scale at which they were taken. Criterion 5, which
+recomputed the base-2 and base-3 ratios of Table 1 at x = 100000, is retired:
+criterion 4 checks the same two counts exactly, with the same denominator.
 """
 
 import math
 import os
 import time
 from fractions import Fraction
-
-import pytest
 
 from genocchi.classify import (
     ORDER_CRITERIA,
@@ -33,7 +31,6 @@ from genocchi.density import (
     conjectured_ratio,
     delta_g,
     delta_minus_total,
-    delta_near_primroot,
     lower_bound_ratio,
     r_factor,
     rho_plus_one,
@@ -131,7 +128,7 @@ def test_criterion_1_theoretical_columns():
     elapsed = time.perf_counter() - start
     assert not errs, errs
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
-    _report(1, f"46 theoretical table values within {TOL} in {elapsed * 1000:.0f}ms")
+    _report(1, f"50 theoretical table values within {TOL} in {elapsed * 1000:.0f}ms")
 
 
 # ---------------------------------------------------------------- criterion 2
@@ -143,8 +140,8 @@ def test_criterion_2_exact_density_anchors():
     assert rho_plus_one(2) == Fraction(17, 24)
     for ell in (3, 5, 7, 11, 13, 97):
         assert rho_plus_one(ell) == Fraction(2, 3)
-    assert delta_near_primroot(2, 1) == LinearInA.of(0, 1)
-    assert delta_near_primroot(2, 2) == LinearInA.of(0, Fraction(3, 4))
+    assert alpha_primroot(2, 1, 1) == LinearInA.of(0, 1)
+    assert alpha_minus(2, 1, 1) == LinearInA.of(0, Fraction(3, 4))
     _report(2, "exact density anchors hold with exact equality")
 
 
@@ -239,27 +236,6 @@ def test_criterion_4_desk_scale_reproduction(tmp_cache):
     assert elapsed < _budget(300, reference_cores=4), f"took {elapsed:.1f}s"
     _report(4, f"18 experimental values of Tables 1-3 match as exact counts at x=10^5 "
                f"in {elapsed:.1f}s")
-
-
-# ---------------------------------------------------------------- criterion 5
-
-
-@pytest.mark.slow
-def test_criterion_5_full_scale_reproduction(tmp_cache):
-    from genocchi.survey import SurveyConfig, run_survey
-
-    start = time.perf_counter()
-    got = {}
-    for ell in (2, 3):
-        cfg = SurveyConfig(ell=ell, x=10**5, variants=("G",), cache_dir=tmp_cache, quiet=False)
-        (row,) = run_survey(cfg)
-        got[ell] = row
-    elapsed = time.perf_counter() - start
-    assert got[2].count_primes == 9592
-    assert f"{got[2].experimental:.6f}" == "0.661593", got[2]
-    assert f"{got[3].experimental:.6f}" == "0.635113", got[3]
-    assert elapsed < _budget(3600, reference_cores=8), f"took {elapsed:.0f}s"
-    _report(5, f"x=10^5 base-2/base-3 ratios match to 6 decimals in {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------- criterion 6

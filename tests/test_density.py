@@ -13,19 +13,24 @@ from genocchi.density import (
     alpha_minus,
     alpha_primroot,
     conjectured_ratio,
-    delta_ell_sq_2,
     delta_g,
     delta_minus_total,
-    delta_near_primroot,
     lower_bound_ratio,
     r_factor,
     rho_plus_one,
 )
-from genocchi.modarith import jacobi
+from genocchi.modarith import jacobi, mult_order, sieve_primes
 
-from density_oracles import artin_euler_product, delta_g_alt, delta_minus_total_direct
+from density_oracles import (
+    artin_euler_product,
+    delta_ell_sq_2,
+    delta_g_alt,
+    delta_minus_total_direct,
+    delta_near_primroot,
+)
 
 ODD_ELLS = (3, 5, 7, 11, 13, 17, 19, 23, 29)
+TABLE_1_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 def random_triples(count, seed, ells=ODD_ELLS, dmax=600):
@@ -133,24 +138,26 @@ def test_alpha_primroot_zero_case():
     # ell = 1 mod 4, ell | d, a square mod ell: no primitive-root primes at all
     assert alpha_primroot(5, 5, 4) == LinearInA.of(0, 0)  # (4|5) = 1
     assert alpha_primroot(13, 26, 3) == LinearInA.of(0, 0)  # (3|13) = 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="odd"):
         alpha_primroot(2, 4, 1)
 
 
 def test_delta_ell_sq_2_values():
+    # the all-primes closed forms of the oracle module are delta_g at (ell, 1, 1)
     assert delta_ell_sq_2(2) == LinearInA.of(0, Fraction(3, 2))
     assert delta_ell_sq_2(3) == LinearInA.of(0, Fraction(8, 5))
-    for ell in ODD_ELLS:
-        assert delta_ell_sq_2(ell) == delta_g(ell, 1, 1)
+    for ell in (2,) + ODD_ELLS:
+        assert delta_ell_sq_2(ell) == delta_g(ell, 1, 1), ell
 
 
 def test_lem_dens_consistency():
-    for ell in ODD_ELLS:
-        assert alpha_primroot(ell, 1, 1) == delta_near_primroot(ell, 1)
-        assert alpha_minus(ell, 1, 1) == delta_near_primroot(ell, 2)
+    for ell in (2,) + ODD_ELLS:
+        assert alpha_primroot(ell, 1, 1) == delta_near_primroot(ell, 1), ell
+        assert alpha_minus(ell, 1, 1) == delta_near_primroot(ell, 2), ell
         assert delta_minus_total(ell, 1, 1) == (
             delta_near_primroot(ell, 1) + delta_near_primroot(ell, 2)
         )
+    for ell in ODD_ELLS:  # the direct table covers odd bases only
         assert delta_minus_total(ell, 1, 1) == delta_minus_total_direct(ell, 1, 1)
 
 
@@ -158,22 +165,45 @@ def test_lem_dens_consistency():
 
 
 def test_delta_g_two_cases():
-    assert delta_g(2, 1, 1) == LinearInA.of(Fraction(3, 4), 0)
-    assert delta_g(2, 3, 2) == LinearInA.of(Fraction(3, 4), 0)
-    assert delta_g(2, 4, 1) == LinearInA.of(Fraction(1, 2), 0)
-    assert delta_g(2, 4, 3) == LinearInA.of(1, 0)
-    assert delta_g(2, 8, 3) == LinearInA.of(1, 0)
+    assert delta_g(2, 1, 1) == LinearInA.of(0, Fraction(3, 2))
+    assert delta_g(2, 3, 2) == LinearInA.of(0, Fraction(9, 5))  # 3/2 * R(3, 2) = 3/2 * 6/5
+    assert delta_g(2, 4, 1) == LinearInA.of(0, 1)
+    assert delta_g(2, 4, 3) == LinearInA.of(0, 2)
+    assert delta_g(2, 8, 3) == LinearInA.of(0, 2)
     assert delta_g(2, 8, 1) == LinearInA.of(0, 0)
-    assert delta_g(2, 16, 11) == LinearInA.of(1, 0)
+    assert delta_g(2, 16, 11) == LinearInA.of(0, 2)
     assert delta_g(2, 16, 9) == LinearInA.of(0, 0)  # 9 = 1 mod 8
     assert delta_g(2, 16, 1) == LinearInA.of(0, 0)
+
+
+#: (d, a) classes with a positive ell = 2 density, and two where it is exactly zero
+TWO_CLASSES = (
+    (1, 1), (3, 1), (3, 2), (4, 1), (4, 3), (5, 2), (5, 4), (7, 3),
+    (8, 3), (8, 5), (8, 7), (12, 7), (16, 11),
+)
+TWO_ZERO_CLASSES = ((8, 1), (16, 9))
+
+
+def test_delta_g_two_matches_prime_counts():
+    # share of primes p = a mod d, p <= 2*10^5, with ord_p(4) = (p-1)/2
+    primes = [int(p) for p in sieve_primes(2 * 10**5)[1:]]
+    hit = {p: mult_order(4, p) == (p - 1) // 2 for p in primes}
+    for d, a in TWO_CLASSES + TWO_ZERO_CLASSES:
+        members = [p for p in primes if p % d == a % d]
+        share = sum(hit[p] for p in members) / len(members)
+        want = delta_g(2, d, a).value()
+        if (d, a) in TWO_ZERO_CLASSES:
+            assert want == 0.0 and share == 0.0, (d, a, share)
+            continue
+        sigma = math.sqrt(want * (1 - want) / len(members))
+        assert abs(share - want) < 4 * sigma, (d, a, share, want, (share - want) / sigma)
 
 
 # ---------------------------------------------------------------- property suite
 
 
 def test_delta_g_table_agreement_500():
-    for ell, d, a in random_triples(500, seed=11):
+    for ell, d, a in random_triples(500, seed=11) + random_triples(200, seed=12, ells=(2,)):
         assert delta_g(ell, d, a) == delta_g_alt(ell, d, a), (ell, d, a)
 
 
@@ -259,7 +289,7 @@ def test_alpha_minus_zero_case():
     # 4*ell | d with ell a non-square mod a-side symbol: empty half-order set
     assert alpha_minus(3, 12, 5) == LinearInA.of(0, 0)  # (3/5) = -1
     assert alpha_minus(5, 20, 13) == LinearInA.of(0, 0)  # (5/13) = -1 via (13/5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="odd"):
         alpha_minus(2, 4, 1)
 
 
@@ -290,9 +320,6 @@ def test_every_density_rejects_a_base_that_is_not_prime(ell):
         partial(delta_g, ell, 1, 1),
         partial(delta_g, ell, 4, 1),
         partial(delta_minus_total, ell, 1, 1),
-        partial(delta_near_primroot, ell, 1),
-        partial(delta_near_primroot, ell, 2),
-        partial(delta_ell_sq_2, ell),
         partial(rho_plus_one, ell),
     ]
     calls += [
@@ -305,6 +332,16 @@ def test_every_density_rejects_a_base_that_is_not_prime(ell):
     for call in calls:
         with pytest.raises(ValueError, match="prime"):
             call()
+
+
+@pytest.mark.parametrize("kind", RATIO_KINDS)
+def test_full_prime_set_ignores_a(kind):
+    # d = 1 is the full prime set whatever a is
+    for ell in TABLE_1_BASES:
+        for ratio in (conjectured_ratio, lower_bound_ratio):
+            want = ratio(kind, ell, 1, 1)
+            for a in range(2, 13):
+                assert ratio(kind, ell, 1, a) == want, (ratio.__name__, ell, a)
 
 
 def test_ratio_kind_validation():

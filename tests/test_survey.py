@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from genocchi import classify as classify_mod
 from genocchi import survey as survey_mod
 from genocchi.classify import b_irregular_pairs, classify_prime
 from genocchi.cli import cli_main
@@ -359,6 +360,18 @@ def test_cli_classify(capsys):
     assert cli_main(["classify", "--ell", "2", "--p", "37"]) == 0
     out = capsys.readouterr().out
     assert "p=37" in out and "B=1" in out and "G=1" in out
+
+
+def test_cli_classify_checks_ell_before_the_kernel(capsys, monkeypatch):
+    monkeypatch.setattr(classify_mod, "b_irregular_pairs", _no_recompute)
+    assert cli_main(["classify", "--ell", "9", "--p", "249989"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be prime" in captured.err
+
+
+def test_survey_reports_progress_unless_quiet(tmp_cache, capsys):
+    run_survey(small_config(tmp_cache, x=600, variants=("G",), quiet=False))
+    assert "b-irregularity: 107 primes in" in capsys.readouterr().err  # pi(600) = 109, less 2 and 3
 
 
 def test_cli_wieferich(capsys):
