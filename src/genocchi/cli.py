@@ -6,7 +6,7 @@ Subcommands:
     density    evaluate a closed-form density exactly and numerically: g,
                primroot, hminus, hminus-total and rho at (ell, d, a), and
                the <variant>-conj and <variant>-lower ratios; the all-primes
-               value is the default d = a = 1
+               value is the default d = a = 1, the only one rho and hplus have
     classify   one-line classification record for a single prime
     wieferich  scan a Wieferich set up to a limit
     bernoulli  exact Bernoulli number
@@ -43,7 +43,7 @@ _DENSITY_KINDS = {
     "primroot": density_mod.alpha_primroot,
     "hminus": density_mod.alpha_minus,
     "hminus-total": density_mod.delta_minus_total,
-    "rho": lambda ell, d, a: density_mod.rho_plus_one(ell),
+    "rho": density_mod.rho_plus_one,
     **{f"{v}-{r}": partial(f, k) for r, f in _RATIOS.items() for v, k in _VARIANT_ALIASES.items()},
 }
 
@@ -129,7 +129,6 @@ def _cmd_survey(args) -> int:
         threads=args.threads,
         cache_dir=args.cache_dir,
         quiet=args.quiet,
-        deterministic=args.deterministic,
     )
     rows = run_survey(cfg)
     sys.stdout.write(emit_table("survey", rows, args.format, args.deterministic))
@@ -143,7 +142,6 @@ def _cmd_table(args) -> int:
         threads=args.threads,
         cache_dir=args.cache_dir,
         quiet=args.quiet,
-        deterministic=args.deterministic,
     )
     sys.stdout.write(emit_table(args.which, rows, args.format, args.deterministic))
     return 0

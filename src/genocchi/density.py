@@ -250,9 +250,15 @@ def delta_minus_total(ell: int, d: int, a: int) -> LinearInA:
     return alpha_minus(ell, d, a) + alpha_primroot(ell, d, a)
 
 
-def rho_plus_one(ell: int) -> Fraction:
-    """Density of prime divisors of the sequence ell**n + 1."""
-    _require_prime(ell)
+def rho_plus_one(ell: int, d: int = 1, a: int = 1) -> Fraction:
+    """Density of prime divisors of the sequence ell**n + 1, over all primes only.
+
+    It is the progression-dependent term of the Hplus density, so d != 1
+    raises the Hplus message, before (d, a) is checked for coprimality.
+    """
+    if d != 1:  # every a is the full prime set at d = 1
+        raise ValueError("Hplus requires d = a = 1 (general progressions unsupported)")
+    _canonical(ell, d, a)
     return Fraction(17, 24) if ell == 2 else Fraction(2, 3)
 
 
@@ -262,9 +268,8 @@ def _delta_for_kind(kind: str, ell: int, d: int, a: int) -> LinearInA:
     if kind == "Hminus":
         return delta_minus_total(ell, d, a)
     if kind == "Hplus":
-        if d != 1:  # every a is the full prime set at d = 1
-            raise ValueError("Hplus requires d = a = 1 (general progressions unsupported)")
-        return alpha_primroot(ell, 1, 1) + LinearInA.of(1 - rho_plus_one(ell))
+        rho = rho_plus_one(ell, d, a)  # before alpha_primroot: d != 1 gets the Hplus message
+        return alpha_primroot(ell, d, a) + LinearInA.of(1 - rho)
     raise ValueError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
 
 

@@ -1,30 +1,21 @@
-"""Exact arithmetic for Bernoulli-derived sequences over arbitrary-precision rationals.
+"""Exact Bernoulli numbers and Genocchi-type integers over arbitrary-precision rationals.
 
-Indexing convention: every public operation takes the actual subscript of the
-sequence value (so `h_value(ell, n, ...)` returns the value whose Bernoulli
-factor is B_n, with n even). No half-index arguments are used here.
+Every operation takes the actual subscript of the sequence value: `bernoulli(n)`
+is B_n and `genocchi_number(ell, n)` is ell * (1 - ell**n) * B_n. The exact
+H-values and the identities that check these numbers (tangent numbers, von
+Staudt-Clausen, class numbers, p-adic valuations) live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from fractions import Fraction
-
-from .modarith import divisors, is_prime
 
 __all__ = [
     "BernoulliCache",
     "bernoulli",
     "genocchi_number",
-    "h_value",
-    "tangent_number",
-    "von_staudt_clausen_check",
-    "class_number_neg_p",
-    "valuation",
 ]
-
-H_VARIANTS = ("full", "minus", "plus")
 
 
 class ConsistencyError(RuntimeError):
@@ -99,85 +90,3 @@ def genocchi_number(ell: int, n: int) -> int:
     if value.denominator != 1:
         raise ConsistencyError(f"G_{n} for ell={ell} is not integral: {value}")
     return int(value)
-
-
-def h_value(ell: int, n: int, variant: str = "full") -> Fraction:
-    """Exact H-value at even subscript n.
-
-    full:  (1 - ell**n)     * B_n / n
-    minus: (1 - ell**(n/2)) * B_n / n
-    plus:  (1 + ell**(n/2)) * B_n / n
-    """
-    if n < 2 or n % 2:
-        raise ValueError(f"subscript must be even and >= 2, got {n}")
-    if variant == "full":
-        factor = 1 - Fraction(ell) ** n
-    elif variant == "minus":
-        factor = 1 - Fraction(ell) ** (n // 2)
-    elif variant == "plus":
-        factor = 1 + Fraction(ell) ** (n // 2)
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {H_VARIANTS}")
-    return factor * bernoulli(n) / n
-
-
-def tangent_number(n: int) -> int:
-    """n-th tangent number: the coefficient T_n in tan t = sum T_n t^(2n-1)/(2n-1)!.
-
-    Evaluated as (-4)**n times the full H-value at subscript 2n for ell = 2;
-    must come out a positive integer.
-    """
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    value = Fraction(-4) ** n * h_value(2, 2 * n, "full")
-    if value.denominator != 1 or value <= 0:
-        raise ConsistencyError(f"tangent number T_{n} came out as {value}")
-    return int(value)
-
-
-def von_staudt_clausen_check(n: int) -> bool:
-    """True iff B_n + sum of 1/p over primes p with (p-1) | n is an integer."""
-    if n < 2 or n % 2:
-        raise ValueError(f"subscript must be even and >= 2, got {n}")
-    s = bernoulli(n)
-    for d in divisors(n):
-        if is_prime(d + 1):
-            s += Fraction(1, d + 1)
-    return s.denominator == 1
-
-
-def class_number_neg_p(p: int) -> int:
-    """Class number h(-p) of Q(sqrt(-p)) for a prime p = 3 mod 4, p > 3.
-
-    Counts reduced primitive binary quadratic forms (a, b, c) of discriminant
-    -p in the standard window |b| <= a <= c; a prime discriminant makes every
-    form primitive.
-    """
-    if p <= 3 or p % 4 != 3 or not is_prime(p):
-        raise ValueError(f"p must be a prime = 3 mod 4 greater than 3, got {p}")
-    h = 0
-    for b in range(1, math.isqrt(p // 3) + 1, 2):
-        m = (b * b + p) // 4
-        for a in range(b, math.isqrt(m) + 1):
-            if m % a == 0:
-                # forms (a, +-b, c); the sign collapses when |b| = a or a = c
-                h += 1 if (a == b or a * a == m) else 2
-    return h
-
-
-def valuation(q: Fraction, p: int) -> int:
-    """Exponent of the prime p in the nonzero rational q."""
-    if q == 0:
-        raise ValueError("valuation of 0 is undefined")
-    v = 0
-    num = abs(q.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    if v:
-        return v
-    den = q.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v

@@ -26,8 +26,8 @@ hi*hi) sums fewer than 2**17 terms below 2**19 each: every exact value stays
 below 2**36, far inside float64's 53-bit integer range. The kernel checks
 that each transformed value lies within 1/4 of an integer before rounding and
 raises ArithmeticError otherwise, so it never returns a wrong residue
-silently. `power_sums_numpy` evaluates the same sums directly in O(p**2) and
-is kept as the independent oracle the tests compare against.
+silently. The tests compare it bit for bit with a direct O(p**2) evaluation,
+`power_sums_numpy` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "MAX_KERNEL_PRIME",
     "half_coefficients",
     "power_sums",
-    "power_sums_numpy",
 ]
 
 #: largest supported prime: residues must split into two 9-bit limbs
@@ -63,22 +62,6 @@ def half_coefficients(p: int, mult: int) -> np.ndarray:
     j = np.arange(1, (p + 1) // 2, dtype=np.int64)
     floors = (j * mult) // p
     return ((2 * floors - mult + 1) % p).astype(np.int64)
-
-
-def power_sums_numpy(p: int, coeffs: np.ndarray) -> np.ndarray:
-    """Direct O(p**2) power sums, exact in uint64 (the oracle for `power_sums`)."""
-    _check_kernel_args(p, coeffs)
-    m = (p - 3) // 2
-    out = np.empty(m, dtype=np.int64)
-    j = np.arange(1, (p + 1) // 2, dtype=np.uint64)
-    pw = j.copy()
-    sq = (j * j) % p
-    c = coeffs.astype(np.uint64)
-    for n in range(m):
-        # products < 2**36 and the half-range has < 2**17 terms: no overflow
-        out[n] = int((c * pw).sum() % p)
-        pw = (pw * sq) % p
-    return out
 
 
 def power_sums(p: int, coeffs: np.ndarray) -> np.ndarray:

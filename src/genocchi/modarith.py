@@ -14,7 +14,6 @@ __all__ = [
     "sieve_primes",
     "is_prime",
     "factorize",
-    "divisors",
     "mult_order",
     "jacobi",
     "primitive_root",
@@ -77,14 +76,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    divs = [1]
-    for p, e in factorize(n):
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 def mult_order(g: int, p: int) -> int:

@@ -50,7 +50,6 @@ __all__ = [
     "run_survey",
     "run_table",
     "emit_table",
-    "parse_rows_csv",
     "TABLE_PRESETS",
 ]
 
@@ -89,7 +88,6 @@ class SurveyConfig:
     threads: int = 0  # 0 means use all available cores
     cache_dir: Path | str | None = None
     quiet: bool = False
-    deterministic: bool = False
 
     def __post_init__(self):
         if self.x < 100:
@@ -315,29 +313,6 @@ def _format_csv(rows: list[SurveyRow], deterministic: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_rows_csv(text: str) -> list[SurveyRow]:
-    rows = []
-    for line in text.splitlines():
-        if not line or line.startswith("#") or line.startswith("ell,"):
-            continue
-        ell, d, a, x, ci, cp, exp, conj, low, variant = line.split(",")
-        rows.append(
-            SurveyRow(
-                ell=int(ell),
-                d=int(d),
-                a=int(a),
-                x=int(x),
-                count_irregular=int(ci),
-                count_primes=int(cp),
-                experimental=float(exp),
-                conjectured=float(conj),
-                lower_bound=float(low),
-                variant=variant,
-            )
-        )
-    return rows
-
-
 def _format_json(rows: list[SurveyRow]) -> str:
     return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
 
@@ -409,7 +384,12 @@ def run_table(
     quiet: bool = False,
     deterministic: bool = False,
 ) -> list[SurveyRow]:
-    """Run the surveys backing one of the reference tables."""
+    """Run the surveys backing one of the reference tables.
+
+    `deterministic` is accepted and ignored, since rows carry no timestamp;
+    emit_table's argument of that name decides the CSV header. The scripts
+    in perfbench/ still pass it.
+    """
     if which not in TABLE_PRESETS:
         raise ValueError(f"unknown table {which!r}; expected one of {sorted(TABLE_PRESETS)}")
     rows: list[SurveyRow] = []
@@ -422,7 +402,6 @@ def run_table(
             threads=threads,
             cache_dir=cache_dir,
             quiet=quiet,
-            deterministic=deterministic,
         )
         rows.extend(run_survey(cfg))
     return rows

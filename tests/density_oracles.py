@@ -66,8 +66,13 @@ def delta_g_alt(ell: int, d: int, a: int) -> LinearInA:
 def _c2_direct(ell: int, d: int, a: int) -> Fraction:
     """Direct coefficient table for ord in {p-1, (p-1)/2}; equals c1 + c_minus.
 
-    Independent of ell mod 4 once expressed through (a/ell) and a mod 4.
+    Independent of ell mod 4 once expressed through (a/ell) and a mod 4. Base 2
+    has only its all-primes row, 1 + 3/4: no closed form in a progression.
     """
+    if ell == 2:
+        if d != 1:
+            raise ValueError("no ell = 2 closed form in a progression")
+        return Fraction(7, 4)
     L = ell * ell - ell - 1
     ell_div = d % ell == 0
     four_div = d % 4 == 0

@@ -12,18 +12,7 @@ import os
 import time
 from fractions import Fraction
 
-from genocchi.classify import (
-    ORDER_CRITERIA,
-    b_irregular_pairs,
-    classify_prime,
-    emma_lehmer_check,
-    frac_mod,
-    kummer_check,
-    order_criterion_oracle,
-    valuation_h,
-    voronoi_h,
-    wieferich_search,
-)
+from genocchi.classify import b_irregular_pairs, classify_prime, wieferich_search
 from genocchi.density import (
     LinearInA,
     alpha_minus,
@@ -35,18 +24,25 @@ from genocchi.density import (
     r_factor,
     rho_plus_one,
 )
-from genocchi.exactseq import (
-    bernoulli,
-    class_number_neg_p,
-    h_value,
-    tangent_number,
-    valuation,
-    von_staudt_clausen_check,
-)
+from genocchi.exactseq import bernoulli
 from genocchi.kernels import half_coefficients, power_sums
 from genocchi.modarith import jacobi, mult_order, sieve_primes
 
 from density_oracles import delta_g_alt, delta_minus_total_direct
+from oracles import (
+    ORDER_CRITERIA,
+    class_number_neg_p,
+    emma_lehmer_check,
+    frac_mod,
+    h_value,
+    kummer_check,
+    order_criterion_oracle,
+    tangent_number,
+    valuation,
+    valuation_h,
+    von_staudt_clausen_check,
+    voronoi_h,
+)
 from test_density import random_triples, _case_bound
 from test_exactseq import series_inverse, tangent_series
 

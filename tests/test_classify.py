@@ -2,22 +2,22 @@ from fractions import Fraction
 
 import pytest
 
-from genocchi.classify import (
+from genocchi.classify import IrregularPair, b_irregular_pairs, classify_prime, wieferich_search
+from genocchi.exactseq import ConsistencyError, bernoulli
+from genocchi.modarith import mult_order, sieve_primes
+
+from oracles import (
     ORDER_CRITERIA,
-    IrregularPair,
-    b_irregular_pairs,
-    classify_prime,
     divides_sequence,
     emma_lehmer_check,
     frac_mod,
+    h_value,
     kummer_check,
     order_criterion_oracle,
+    valuation,
     valuation_h,
     voronoi_h,
-    wieferich_search,
 )
-from genocchi.exactseq import ConsistencyError, bernoulli, h_value, valuation
-from genocchi.modarith import jacobi, mult_order, sieve_primes
 
 ODD_PRIMES_500 = [int(p) for p in sieve_primes(500)[1:]]
 

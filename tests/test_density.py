@@ -124,6 +124,10 @@ def test_rho_values():
     assert rho_plus_one(2) == Fraction(17, 24)
     assert rho_plus_one(3) == Fraction(2, 3)
     assert rho_plus_one(19) == Fraction(2, 3)
+    assert rho_plus_one(3, 1, 5) == Fraction(2, 3)  # d = 1 is the full prime set
+    for d, a in ((4, 1), (4, 2), (3, 2)):  # known over all primes only
+        with pytest.raises(ValueError, match="Hplus requires d = a = 1"):
+            rho_plus_one(3, d, a)
 
 
 def test_alpha_anchors():
@@ -157,8 +161,12 @@ def test_lem_dens_consistency():
         assert delta_minus_total(ell, 1, 1) == (
             delta_near_primroot(ell, 1) + delta_near_primroot(ell, 2)
         )
-    for ell in ODD_ELLS:  # the direct table covers odd bases only
-        assert delta_minus_total(ell, 1, 1) == delta_minus_total_direct(ell, 1, 1)
+    for ell in (2,) + ODD_ELLS:
+        assert delta_minus_total(ell, 1, 1) == delta_minus_total_direct(ell, 1, 1), ell
+    for d, a in ((3, 2), (4, 1), (8, 3)):  # neither has an ell = 2 table in a progression
+        for total in (delta_minus_total, delta_minus_total_direct):
+            with pytest.raises(ValueError, match="progression"):
+                total(2, d, a)
 
 
 # ---------------------------------------------------------------- ell = 2 table

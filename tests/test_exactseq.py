@@ -2,18 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from genocchi.exactseq import (
-    BernoulliCache,
-    ConsistencyError,
-    bernoulli,
+from genocchi.exactseq import BernoulliCache, bernoulli, genocchi_number
+from genocchi.modarith import jacobi, sieve_primes
+
+from oracles import (
     class_number_neg_p,
-    genocchi_number,
     h_value,
     tangent_number,
     valuation,
     von_staudt_clausen_check,
 )
-from genocchi.modarith import jacobi, sieve_primes
 
 # ---------------------------------------------------------------- oracles
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from genocchi.modarith import (
-    divisors,
     factorize,
     is_prime,
     jacobi,
@@ -12,6 +11,8 @@ from genocchi.modarith import (
     primitive_root,
     sieve_primes,
 )
+
+from oracles import divisors
 
 
 def trial_division_primes(limit):

@@ -20,10 +20,12 @@ from genocchi.survey import (
     SurveyError,
     SurveyRow,
     emit_table,
-    parse_rows_csv,
     resolve_cache_dir,
     run_survey,
+    run_table,
 )
+
+from oracles import parse_rows_csv
 
 
 def small_config(tmp_cache, **kw):
@@ -35,7 +37,7 @@ def small_config(tmp_cache, **kw):
 # ---------------------------------------------------------------- config validation
 
 
-def test_config_validation(tmp_cache):
+def test_config_validation(tmp_cache, monkeypatch):
     with pytest.raises(ValueError):
         SurveyConfig(ell=3, x=50)
     with pytest.raises(ValueError):
@@ -59,6 +61,13 @@ def test_config_validation(tmp_cache):
     with pytest.raises(ValueError, match="kernel"):
         SurveyConfig(ell=3, x=MAX_KERNEL_PRIME + 1)
     SurveyConfig(ell=3, x=MAX_KERNEL_PRIME)
+    # the library entry points check their names before any sieve or cache work
+    monkeypatch.setattr(survey_mod, "sieve_primes", _no_recompute)
+    with pytest.raises(ValueError, match="unknown table"):
+        run_table("g4", 1000, cache_dir=tmp_cache)
+    assert not tmp_cache.exists()
+    with pytest.raises(ValueError, match="unknown format"):
+        emit_table("g1", [], "xml")
 
 
 @pytest.mark.parametrize(
@@ -419,6 +428,8 @@ def test_cli_computation_error_exit_1(capsys):
     for argv in (
         ["density", "--kind", "g", "--ell", "3", "--d", "4", "--a", "2"],
         ["density", "--kind", "g-conj", "--ell", "4"],
+        ["density", "--kind", "rho", "--ell", "3", "--d", "4", "--a", "2"],
+        ["density", "--kind", "rho", "--ell", "3", "--d", "4", "--a", "1"],
     ):
         assert cli_main(argv) == 1, argv
         captured = capsys.readouterr()
