@@ -3,7 +3,6 @@ exact Artin-constant densities, with a survey CLI that reproduces the
 reference ratio tables."""
 
 from .classify import (
-    IrregularPair,
     PrimeClassification,
     b_irregular_pairs,
     classify_prime,
@@ -21,7 +20,7 @@ from .density import (
     r_factor,
     rho_plus_one,
 )
-from .exactseq import BernoulliCache, bernoulli, genocchi_number
+from .exactseq import bernoulli, genocchi_number
 from .modarith import jacobi, mult_order, sieve_primes
 from .survey import SurveyConfig, SurveyRow, emit_table, run_survey, run_table
 
@@ -29,8 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARTIN",
-    "BernoulliCache",
-    "IrregularPair",
     "LinearInA",
     "PrimeClassification",
     "SurveyConfig",

@@ -3,10 +3,11 @@
 A prime is classified from multiplicative orders plus a B-irregularity flag.
 `b_irregular_pairs` finds the flag with the power-sum kernel. The rules
 (order thresholds and the p = 3 and p = ell edge cases) live in one function,
-`classify_from_orders`. `prime_orders` checks its inputs and computes the
-orders for it, `classify_prime` joins the two, and the survey feeds it orders
-read from its cache. `wieferich_search` lists a base's Wieferich primes, the
-other way a prime divides the H-sequences.
+`irregular_flags`, which applies them to whole arrays of primes at once: the
+survey calls it once per run, and `classify_from_orders` is its one-row case.
+`prime_orders` checks its inputs and computes the orders, `classify_prime`
+joins the two. `wieferich_search` lists a base's Wieferich primes, the other
+way a prime divides the H-sequences.
 
 The congruence oracles that check this path (Voronoi, Kummer, Lehmer, exact
 p-adic valuations and brute-force divisor scans) live in tests/oracles.py.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,19 +24,14 @@ from .kernels import half_coefficients, power_sums
 from .modarith import is_prime, mult_order, primitive_root, sieve_primes
 
 __all__ = [
-    "IrregularPair",
     "PrimeClassification",
     "b_irregular_pairs",
     "classify_prime",
     "classify_from_orders",
+    "irregular_flags",
     "prime_orders",
     "wieferich_search",
 ]
-
-
-class IrregularPair(NamedTuple):
-    p: int
-    index: int  # even subscript 2n with p dividing the Bernoulli numerator
 
 
 @dataclass(frozen=True)
@@ -44,7 +39,7 @@ class PrimeClassification:
     """Orders, quadratic character, and the five irregularity flags of a prime.
 
     When p == ell the order fields and jacobi_ell_p are 0 (undefined case,
-    handled by the edge rules in `classify_from_orders`).
+    handled by the edge rules in `irregular_flags`).
     """
 
     p: int
@@ -59,8 +54,8 @@ class PrimeClassification:
     h_plus_irregular: bool
 
 
-def b_irregular_pairs(p: int) -> list[IrregularPair]:
-    """All even 2n in [2, p-3] whose Bernoulli numerator is divisible by p.
+def b_irregular_pairs(p: int) -> tuple[int, ...]:
+    """All even 2n in [2, p-3] whose Bernoulli numerator is divisible by p, ascending.
 
     Uses the Voronoi congruence with a primitive root g in place of the
     multiplier, so the (1 - g**2n) factor is a unit for every index in range
@@ -72,7 +67,7 @@ def b_irregular_pairs(p: int) -> list[IrregularPair]:
         raise ValueError(f"{p} is not prime")
     g = primitive_root(p)
     sums = power_sums(p, half_coefficients(p, g))
-    return [IrregularPair(p, 2 * (int(i) + 1)) for i in np.flatnonzero(sums == 0)]
+    return tuple(2 * (int(i) + 1) for i in np.flatnonzero(sums == 0))
 
 
 def prime_orders(ell: int, p: int) -> tuple[int, int, int]:
@@ -100,28 +95,38 @@ def classify_prime(ell: int, p: int, b_irregular: bool) -> PrimeClassification:
 def classify_from_orders(
     ell: int, p: int, orders: tuple[int, int, int], b_irregular: bool
 ) -> PrimeClassification:
-    """The classification rules, applied to (ord_p(ell), ord_p(ell**2), (ell/p)).
+    """`irregular_flags` for one prime, as a record of Python values."""
+    g, h, hm, hp = (bool(mask[0]) for mask in irregular_flags(ell, [p], [orders], [b_irregular]))
+    return PrimeClassification(p, ell, *orders, bool(b_irregular) and p > 3, g, h, hm, hp)
 
+
+def irregular_flags(
+    ell: int, p: np.ndarray, orders: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The classification rules: (G, H, H-, H+) masks aligned with the primes p.
+
+    Row i of the (n, 3) array `orders` is (ord_p(ell), ord_p(ell**2), (ell/p))
+    for p[i], and b[i] is p[i]'s B-irregularity flag.
     Criteria for p distinct from ell and p > 3:
       G, H:  B-irregular or ord_p(ell**2) < (p-1)/2
       H-:    B-irregular or ord_p(ell)    < (p-1)/2
       H+:    B-irregular or ord_p(ell) even and not p-1
-    Edge rules: p = 3 is regular for every variant; p = ell > 3 is
-    G-irregular while its H flags reduce to the B-flag, and its orders are
-    recorded as 0. Inputs are not validated (see `classify_prime`).
+    Edge rules: 2 and 3 are regular for every variant, whatever their B flag
+    and orders say. p = ell > 3 is G-irregular, since ell divides every G_n;
+    its orders are undefined (recorded as 0) and its H, H- and H+ flags are
+    its B flag, so there H is not G. Inputs are not validated (see `prime_orders`).
     """
-    if p == ell:
-        b = b_irregular and p > 3
-        return PrimeClassification(p, ell, 0, 0, 0, b, p > 3, b, b, b)
-    ord_ell, ord_sq, jac = orders
-    if p == 3:
-        return PrimeClassification(p, ell, ord_ell, ord_sq, jac, False, False, False, False, False)
-    b = b_irregular
+    p = np.asarray(p, dtype=np.int64)
+    ord_ell, ord_sq, _ = np.asarray(orders, dtype=np.int64).T
     half = (p - 1) // 2
-    g = b or ord_sq < half
-    hm = b or ord_ell < half
-    hp = b or (ord_ell % 2 == 0 and ord_ell != p - 1)
-    return PrimeClassification(p, ell, ord_ell, ord_sq, jac, b, g, g, hm, hp)
+    live = p > 3
+    b = np.asarray(b, dtype=bool) & live
+    by_order = live & (p != ell)  # where the order criteria apply
+    h = b | by_order & (ord_sq < half)
+    g = h | live & (p == ell)
+    hm = b | by_order & (ord_ell < half)
+    hp = b | by_order & (ord_ell % 2 == 0) & (ord_ell != p - 1)
+    return g, h, hm, hp
 
 
 def wieferich_search(ell: int, limit: int, variant: str = "base") -> list[int]:

@@ -4,8 +4,9 @@ ratios, and emit the result tables as text, CSV, or JSON.
 
 Two counting conventions, and how they map to the published Tables 1-3:
 
-- Numerator: count_irregular counts the odd primes p <= x that the rules of
-  `classify.classify_from_orders` flag. 2 and 3 are never irregular.
+- Numerator: count_irregular counts the primes p <= x that the rules of
+  `classify.irregular_flags` flag, applied to the whole sieve in one call.
+  2 and 3 are never irregular.
   p = ell > 3 is G-irregular, since ell divides every G_n; its H flags reduce
   to its B flag.
   Published Table 1 leaves p = ell out, so for ell = 5 .. 19 its value is
@@ -36,7 +37,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .classify import PrimeClassification, b_irregular_pairs, classify_from_orders, classify_prime
+from .classify import b_irregular_pairs, irregular_flags, prime_orders
 from .density import conjectured_ratio, lower_bound_ratio
 from .kernels import MAX_KERNEL_PRIME
 from .modarith import sieve_primes
@@ -61,13 +62,6 @@ CACHE_HEADER = "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
 CSV_HEADER = (
     "ell,d,a,x,count_irregular,count_primes,experimental,conjectured,lower_bound,variant"
 )
-
-_FLAG_FIELD = {
-    "G": "g_irregular",
-    "Hminus": "h_minus_irregular",
-    "Hplus": "h_plus_irregular",
-}
-
 
 class SurveyError(RuntimeError):
     pass
@@ -163,11 +157,8 @@ class ClassificationCache:
     def load_orders(self, ell: int) -> dict[int, tuple[int, int, int]]:
         return _read_rows(self._orders_path(ell), _parse_orders_row)
 
-    def save_classifications(self, ell: int, recs: dict[int, PrimeClassification]) -> None:
-        _write_rows(
-            self._orders_path(ell),
-            ((p, r.ord_ell, r.ord_ell_sq, r.jacobi_ell_p) for p, r in sorted(recs.items())),
-        )
+    def save_classifications(self, ell: int, orders: dict[int, tuple[int, int, int]]) -> None:
+        _write_rows(self._orders_path(ell), ((p, *o) for p, o in sorted(orders.items())))
 
 
 def _parse_b_row(fields: list[str]) -> tuple[int, tuple[int, ...]]:
@@ -237,31 +228,21 @@ def _ensure_b_pairs(
         pool.shutdown(cancel_futures=True)
         for future, p in futures.items():
             if not future.cancelled() and future.exception() is None:
-                known[p] = tuple(pair.index for pair in future.result())
+                known[p] = future.result()
         cache.save_b_pairs(known)
     _progress(f"b-irregularity: {len(todo)} primes in {time.time() - start:.1f}s", quiet)
     return known
 
 
-def _ensure_classifications(
-    ell: int,
-    primes: np.ndarray,
-    b_pairs: dict[int, tuple[int, ...]],
-    cache: ClassificationCache,
-) -> dict[int, PrimeClassification]:
-    """Every odd prime's classification, keyed in the order of `primes`."""
-    stored = cache.load_orders(ell)
-    recs: dict[int, PrimeClassification] = {}
-    for p in primes[1:].tolist():  # 2 is never classified
-        b = bool(b_pairs.get(p))
-        orders = stored.get(p)
-        if orders is None:
-            recs[p] = classify_prime(ell, p, b)
-        else:
-            recs[p] = classify_from_orders(ell, p, orders, b)
-    if recs.keys() - stored.keys():
-        cache.save_classifications(ell, recs)
-    return recs
+def _ensure_orders(ell: int, primes: np.ndarray, cache: ClassificationCache) -> np.ndarray:
+    """One (ord, ord_sq, jacobi) row per prime, aligned with `primes`; 2 gets zeros."""
+    orders = cache.load_orders(ell)
+    odd = primes[1:].tolist()  # 2 is never classified
+    missing = [p for p in odd if p not in orders]
+    if missing:
+        orders.update((p, prime_orders(ell, p)) for p in missing)
+        cache.save_classifications(ell, orders)
+    return np.array([(0, 0, 0)] + [orders[p] for p in odd], dtype=np.int64)
 
 
 def run_survey(config: SurveyConfig) -> list[SurveyRow]:
@@ -269,13 +250,10 @@ def run_survey(config: SurveyConfig) -> list[SurveyRow]:
     primes = sieve_primes(config.x)
     cache = ClassificationCache(resolve_cache_dir(config.cache_dir))
     b_pairs = _ensure_b_pairs(primes, cache, config.threads, config.quiet)
-    recs = _ensure_classifications(config.ell, primes, b_pairs, cache)
-
-    # one flag per prime and variant, aligned with primes; 2 is never flagged
-    flags = {
-        v: np.array([False] + [getattr(r, _FLAG_FIELD[v]) for r in recs.values()])
-        for v in config.variants
-    }
+    orders = _ensure_orders(config.ell, primes, cache)
+    b = np.array([bool(b_pairs.get(p)) for p in primes.tolist()])
+    g, _, hminus, hplus = irregular_flags(config.ell, primes, orders, b)
+    flags = {"G": g, "Hminus": hminus, "Hplus": hplus}
 
     rows: list[SurveyRow] = []
     for d, a in config.progressions:
@@ -336,6 +314,15 @@ def _format_text(which: str, rows: list[SurveyRow]) -> str:
         for r in rows:
             out.append(
                 f"{r.ell:>4} {r.d:>3} {r.a:>3}  {r.experimental:>12.6f} {r.conjectured:>12.6f}"
+            )
+    elif which == "survey":
+        out.append(
+            f"{'ell':>4} {'d':>3} {'a':>3} {'variant':>7}  {'experimental':>12} {'theoretical':>12}"
+        )
+        for r in rows:
+            out.append(
+                f"{r.ell:>4} {r.d:>3} {r.a:>3} {r.variant:>7}  "
+                f"{r.experimental:>12.6f} {r.conjectured:>12.6f}"
             )
     else:
         out.append(f"{'ell':>4}  {'experimental':>12} {'theoretical':>12}")

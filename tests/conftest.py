@@ -1,14 +1,13 @@
 import pytest
 
 from genocchi import survey
-from genocchi.exactseq import _CACHE
+from genocchi.exactseq import bernoulli
 
 
 @pytest.fixture(scope="session")
 def bernoulli_800():
     """Shared exact Bernoulli values up to subscript 800 (one fill per session)."""
-    _CACHE.fill_to(800)
-    return _CACHE
+    bernoulli(800)
 
 
 @pytest.fixture(autouse=True)

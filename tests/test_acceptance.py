@@ -20,7 +20,6 @@ from genocchi.density import (
     conjectured_ratio,
     delta_g,
     delta_minus_total,
-    lower_bound_ratio,
     r_factor,
     rho_plus_one,
 )

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from genocchi.exactseq import BernoulliCache, bernoulli, genocchi_number
+from genocchi import exactseq
+from genocchi.exactseq import bernoulli, genocchi_number
 from genocchi.modarith import jacobi, sieve_primes
 
 from oracles import (
@@ -79,10 +80,14 @@ def test_bernoulli_matches_tableau_oracle():
         assert bernoulli(n) == oracle[n], n
 
 
-def test_cache_grows_independently():
-    cache = BernoulliCache()
-    assert cache.get(10) == Fraction(5, 66)
-    assert cache.max_index >= 10
+def test_memo_fills_exactly_to_n():
+    # the memo grows only to the subscript asked for: every B_m filled ahead of it is wasted work
+    n = len(exactseq._VALUES) + 10
+    bernoulli(n)
+    assert len(exactseq._VALUES) == n + 1
+    bernoulli(n + 2)
+    assert len(exactseq._VALUES) == n + 3
+    assert bernoulli(10) == Fraction(5, 66)
 
 
 def test_bernoulli_rejects_negative():

@@ -1,9 +1,12 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import genocchi
 
 MODULES = ["genocchi"] + [f"genocchi.{m.name}" for m in pkgutil.iter_modules(genocchi.__path__)]
+SOURCES = sorted(Path(genocchi.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -15,3 +18,28 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{attr}" for attr in exported if not hasattr(module, attr)]
     assert len(MODULES) > 5
     assert not missing, missing
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; an __all__ entry counts as a read."""
+    tree = ast.parse(path.read_text())
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    assert len(SOURCES) > 10
+    unused = [entry for path in SOURCES for entry in _unused_imports(path)]
+    assert not unused, unused

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import os
 import threading
 
@@ -132,22 +131,24 @@ def test_monotonicity_in_x(tmp_cache):
 
 
 def test_survey_flags_match_exact_divisibility(tmp_cache, bernoulli_800):
-    # cross-module: survey flags vs exact-rational scans, all p <= 1000
-    rows = run_survey(small_config(tmp_cache, x=1000, variants=("G", "Hminus", "Hplus")))
-    counts = {r.variant: r.count_irregular for r in rows}
-    scans = {"G": 0, "Hminus": 0, "Hplus": 0}
-    for p in (int(q) for q in sieve_primes(1000)[1:]):
-        g = hm = hp = False
-        if p != 3:
-            for n2 in range(2, p - 2, 2):
-                bdiv = bernoulli(n2).numerator % p == 0
-                g = g or bdiv or pow(3, n2, p) == 1
-                hm = hm or bdiv or pow(3, n2 // 2, p) == 1
-                hp = hp or bdiv or pow(3, n2 // 2, p) == p - 1
-        scans["G"] += g
-        scans["Hminus"] += hm
-        scans["Hplus"] += hp
-    assert counts == scans
+    # cross-module: survey flags vs exact-rational scans, all p <= 1000; ell = 5
+    # puts p = ell > 3 on the survey path, where p | ell * (1 - ell**n) * B_n for all n
+    for ell in (3, 5):
+        cfg = small_config(tmp_cache, ell=ell, x=1000, variants=("G", "Hminus", "Hplus"))
+        counts = {r.variant: r.count_irregular for r in run_survey(cfg)}
+        scans = {"G": 0, "Hminus": 0, "Hplus": 0}
+        for p in (int(q) for q in sieve_primes(1000)[1:]):
+            g = hm = hp = False
+            if p != 3:
+                for n2 in range(2, p - 2, 2):
+                    bdiv = bernoulli(n2).numerator % p == 0
+                    g = g or p == ell or bdiv or pow(ell, n2, p) == 1
+                    hm = hm or bdiv or pow(ell, n2 // 2, p) == 1
+                    hp = hp or bdiv or pow(ell, n2 // 2, p) == p - 1
+            scans["G"] += g
+            scans["Hminus"] += hm
+            scans["Hplus"] += hp
+        assert counts == scans, ell
 
 
 # ---------------------------------------------------------------- cache behavior
@@ -163,7 +164,7 @@ def test_cache_warm_equals_cold(tmp_cache, monkeypatch):
         assert cache._b_path().exists()
         assert cache._orders_path(ell).exists()
         with monkeypatch.context() as m:
-            m.setattr(survey_mod, "classify_prime", _no_recompute)
+            m.setattr(survey_mod, "prime_orders", _no_recompute)
             m.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
             warm = run_survey(cfg)
         assert cold == warm, ell
@@ -334,6 +335,24 @@ def test_text_emission(tmp_cache):
     rows = run_survey(small_config(tmp_cache, variants=("Hplus", "Hminus")))
     text = emit_table("hpm", rows, "text")
     assert "H+ exp" in text and "3" in text
+
+
+def test_survey_text_names_each_row(tmp_cache, capsys):
+    # two classes times two variants: without d, a and variant the rows look alike
+    argv = [
+        "survey", "--ell", "3", "--x", "1000", "--progression", "4,1", "--progression", "4,3",
+        "--variant", "g", "--variant", "hminus", "--cache-dir", str(tmp_cache), "--quiet",
+    ]
+    assert cli_main([*argv, "--format", "csv"]) == 0
+    rows = parse_rows_csv(capsys.readouterr().out)
+    assert cli_main(argv) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["ell", "d", "a", "variant", "experimental", "theoretical"]
+    assert [line.split() for line in lines] == [
+        [str(r.ell), str(r.d), str(r.a), r.variant, f"{r.experimental:.6f}", f"{r.conjectured:.6f}"]
+        for r in rows
+    ]
+    assert len(set(lines)) == 4
 
 
 # ---------------------------------------------------------------- CLI
