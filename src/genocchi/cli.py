@@ -67,7 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)  # the options of survey and table
     shared.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    shared.add_argument("--threads", type=int, default=0)
+    shared.add_argument(
+        "--threads",
+        type=int,
+        default=0,
+        help="B-stage worker processes (default 0: one per usable CPU; capped at that count)",
+    )
     shared.add_argument("--cache-dir", default=None)
     shared.add_argument("--quiet", action="store_true")
     shared.add_argument("--deterministic", action="store_true")

@@ -22,15 +22,25 @@ At x = 10^5 these mappings reproduce every published experimental value of
 Tables 1 and 2 and the ell = 3 rows of Table 3 as exact prime counts, except
 that the published (3, 2) value is one prime above the count; criterion 4 of
 tests/test_acceptance.py checks all of them.
+
+The B-stage (`_ensure_b_pairs`) computes every prime missing from the cache on
+forked worker processes. The largest-first list of missing primes is cut into
+about BATCHES_PER_WORKER batches per worker, each of about equal p*log2(p)
+work, and each batch is one task: only primes go in and only index tuples come
+back. A failing prime costs its batch nothing: the worker finishes the rest of
+the batch. The first error, or an interrupt, cancels the batches still queued;
+the running ones finish, and every finished batch is saved. The pool needs the
+POSIX `fork` start method; there is no thread fallback.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -62,6 +72,9 @@ CACHE_HEADER = "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
 CSV_HEADER = (
     "ell,d,a,x,count_irregular,count_primes,experimental,conjectured,lower_bound,variant"
 )
+#: B-stage tasks per worker process: enough to even out the load, few enough that
+#: pickling and scheduling stay small next to the kernel
+BATCHES_PER_WORKER = 16
 
 class SurveyError(RuntimeError):
     pass
@@ -71,15 +84,16 @@ class SurveyError(RuntimeError):
 class SurveyConfig:
     """One survey request, checked whole before any prime is computed.
 
-    It owns its own rules (100 <= x <= MAX_KERNEL_PRIME, at least one variant and
-    one progression, 1 <= a <= d); density decides which (variant, ell, d, a) rows exist.
+    It owns its own rules (100 <= x <= MAX_KERNEL_PRIME, threads >= 0, at least one
+    variant and one progression, 1 <= a <= d); density decides which
+    (variant, ell, d, a) rows exist.
     """
 
     ell: int
     x: int
     progressions: tuple[tuple[int, int], ...] = ((1, 1),)
     variants: tuple[str, ...] = ("G",)
-    threads: int = 0  # 0 means use all available cores
+    threads: int = 0  # B-stage worker processes; 0 means every CPU this process may use
     cache_dir: Path | str | None = None
     quiet: bool = False
 
@@ -88,6 +102,8 @@ class SurveyConfig:
             raise ValueError(f"x must be >= 100, got {self.x}")
         if self.x > MAX_KERNEL_PRIME:
             raise ValueError(f"x must be <= {MAX_KERNEL_PRIME} (the kernel bound), got {self.x}")
+        if self.threads < 0:
+            raise ValueError(f"threads must be >= 0 (0 means every CPU), got {self.threads}")
         if not self.variants or not self.progressions:
             raise ValueError("variants and progressions must be non-empty")
         for d, a in self.progressions:
@@ -133,7 +149,8 @@ class ClassificationCache:
     as absent: its primes are recomputed and the file rewritten. A malformed row
     under the current header raises SurveyError. Bump the version in
     CACHE_HEADER whenever the row layout or the stored values could change.
-    All writes come from the survey main thread and replace files atomically.
+    All writes come from the parent process, never from a B-stage worker, and
+    replace files atomically.
     """
 
     def __init__(self, root: Path):
@@ -205,30 +222,86 @@ def _progress(msg: str, quiet: bool) -> None:
         print(msg, file=sys.stderr, flush=True)
 
 
+def _worker_count(threads: int) -> int:
+    """B-stage processes for `threads`: 0 means every CPU this process may use, and never more."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # macOS: fork but no affinity mask
+        cpus = os.cpu_count() or 1
+    return min(threads or cpus, cpus)
+
+
+def _batches(todo: list[int], count: int) -> list[list[int]]:
+    """Cut `todo` into at most `count` consecutive runs of about equal p*log2(p) work."""
+    work = np.cumsum([p * math.log2(p) for p in todo])
+    edges = np.searchsorted(work, work[-1] * np.arange(1, count) / count)
+    return [chunk.tolist() for chunk in np.split(np.array(todo), edges) if chunk.size]
+
+
+def _b_batch(
+    primes: list[int],
+) -> tuple[dict[int, tuple[int, ...]], tuple[Exception, str] | None]:
+    """Worker task: the pairs of every prime in the batch that finished, and the
+    first error with its formatted traceback (pickling drops the traceback)."""
+    pairs: dict[int, tuple[int, ...]] = {}
+    failure = None
+    for p in primes:
+        try:
+            pairs[p] = b_irregular_pairs(p)
+        except Exception as exc:  # the rest of the batch still runs
+            if failure is None:
+                failure = (exc, traceback.format_exc())
+    return pairs, failure
+
+
 def _ensure_b_pairs(
     primes: np.ndarray, cache: ClassificationCache, threads: int, quiet: bool
 ) -> dict[int, tuple[int, ...]]:
     known = cache.load_b_pairs()
     todo = [int(p) for p in primes if p >= 5 and int(p) not in known]
-    if not todo:
+    if not todo:  # no pool, no fork: a warm survey never pays for one
         return known
-    todo.sort(reverse=True)  # largest first: the costliest primes start early
-    start = time.time()
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    # imported here: multiprocessing alone adds ~12 ms to `import genocchi`
+    import multiprocessing
+    import signal
+    from concurrent.futures import as_completed
+    from concurrent.futures.process import ProcessPoolExecutor
 
-    pool = ThreadPoolExecutor(max_workers=workers)
-    futures = {pool.submit(b_irregular_pairs, p): p for p in todo}
-    try:  # in submission order: waking on every completion made cold surveys ~5% slower
-        for done, future in enumerate(futures, 1):
-            future.result()  # a failing prime raises here
-            if done % 500 == 0:
-                elapsed = time.time() - start
-                _progress(f"b-irregularity: {done}/{len(todo)} primes ({elapsed:.1f}s)", quiet)
-    finally:  # a failing prime must not cost any prime that finished, before or after it
+    todo.sort(reverse=True)  # largest first: the costliest primes start early
+    workers = _worker_count(threads)
+    batches = _batches(todo, BATCHES_PER_WORKER * workers)
+    start = time.time()
+    # fork: workers inherit the loaded modules; spawn and forkserver re-import numpy
+    # and genocchi in each worker, and at x = 5000 that start-up eats the gain.
+    # The pool forks before it starts its own threads, and a worker takes no
+    # lock a caller's thread could hold at the fork (the kernel uses none).
+    # Workers ignore SIGINT: a Ctrl-C reaches the parent alone, which lets the
+    # running batches finish and saves them.
+    pool = ProcessPoolExecutor(
+        max_workers=min(workers, len(batches)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    )
+    futures = [pool.submit(_b_batch, batch) for batch in batches]
+    try:  # the progress line's ETA holds because every batch carries the same work
+        done = 0
+        for finished, future in enumerate(as_completed(futures), 1):
+            pairs, failure = future.result()
+            if failure is not None:  # the kernel's own exception, after the finally below
+                error, trace = failure
+                raise error from SurveyError(f"raised in a B-stage worker:\n{trace}")
+            done += len(pairs)
+            elapsed = time.time() - start
+            eta = elapsed / finished * (len(batches) - finished)
+            _progress(
+                f"b-irregularity: {done}/{len(todo)} primes, {elapsed:.1f}s, ETA {eta:.1f}s", quiet
+            )
+    finally:  # an error or interrupt cancels queued batches; running ones finish and count
         pool.shutdown(cancel_futures=True)
-        for future, p in futures.items():
+        for future in futures:
             if not future.cancelled() and future.exception() is None:
-                known[p] = future.result()
+                known.update(future.result()[0])
         cache.save_b_pairs(known)
     _progress(f"b-irregularity: {len(todo)} primes in {time.time() - start:.1f}s", quiet)
     return known
@@ -303,6 +376,8 @@ def _format_text(which: str, rows: list[SurveyRow]) -> str:
         for r in rows:
             by_ell.setdefault(r.ell, {})[r.variant] = r
         for ell in sorted(by_ell):
+            if not {"Hplus", "Hminus"} <= by_ell[ell].keys():
+                raise ValueError(f"the hpm layout needs an Hplus and an Hminus row for ell = {ell}")
             plus, minus = by_ell[ell]["Hplus"], by_ell[ell]["Hminus"]
             out.append(
                 f"{ell:>4}  "
@@ -334,7 +409,14 @@ def _format_text(which: str, rows: list[SurveyRow]) -> str:
 def emit_table(
     which: str, rows: list[SurveyRow], fmt: str = "text", deterministic: bool = False
 ) -> str:
-    """Render survey rows in the requested format; `which` picks the text layout."""
+    """Render survey rows in the requested format; `which` picks the text layout.
+
+    `which` is a TABLE_PRESETS name or "survey", whatever the format.
+    """
+    if which not in TABLE_PRESETS and which != "survey":
+        raise ValueError(
+            f"unknown layout {which!r}; expected 'survey' or one of {sorted(TABLE_PRESETS)}"
+        )
     if fmt == "csv":
         return _format_csv(rows, deterministic)
     if fmt == "json":

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import genocchi
@@ -43,3 +46,18 @@ def test_no_unused_imports():
     assert len(SOURCES) > 10
     unused = [entry for path in SOURCES for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_import_starts_no_process_machinery():
+    # the B-stage imports its process pool when it needs one; at import time it
+    # would add ~12 ms to every command, warm or not
+    check = (
+        "import genocchi, sys; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))"
+    )
+    src = Path(genocchi.__file__).parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", check], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,12 @@
+import concurrent.futures.process
 import dataclasses
 import json
+import math
 import os
-import threading
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,11 +228,18 @@ def test_foreign_cache_is_recomputed(tmp_path, monkeypatch):
     )
     assert old_cache.load_b_pairs() == {} and old_cache.load_orders(3) == {}
 
-    computed = []
+    # the B-stage runs in forked workers, so they log each prime to a file, not a list
+    log = tmp_path / "computed.log"
     real = survey_mod.b_irregular_pairs
-    monkeypatch.setattr(survey_mod, "b_irregular_pairs", lambda p: computed.append(p) or real(p))
+
+    def logged(p):
+        with open(log, "a") as f:
+            f.write(f"{p}\n")
+        return real(p)
+
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", logged)
     assert run_survey(dataclasses.replace(cfg, cache_dir=old_dir)) == cold
-    assert sorted(computed) == sorted(b_pairs)
+    assert sorted(map(int, log.read_text().split())) == sorted(b_pairs)
     for name in ("birregular.csv", "orders_3.csv"):
         assert (old_dir / name).read_text() == (cold_dir / name).read_text()
         assert (old_dir / name).read_text().startswith(CACHE_HEADER + "\n")
@@ -269,27 +281,52 @@ def test_b_stage_failure_keeps_finished_primes(tmp_cache, monkeypatch):
     assert saved[37] == (32,)
 
 
-def test_b_stage_failure_keeps_primes_finished_after_it(tmp_cache, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_b_stage_failure_costs_only_the_failing_prime(tmp_cache, monkeypatch, threads):
     real = survey_mod.b_irregular_pairs
-    finished_97 = threading.Event()
 
     def failing_at_101(p):
-        if p == 101:  # 97 is submitted next, so the other thread takes it
-            finished_97.wait(timeout=60)
+        if p == 101:
             raise ArithmeticError("kernel failure")
-        pairs = real(p)
-        if p == 97:
-            finished_97.set()
-        return pairs
+        return real(p)
 
     monkeypatch.setattr(survey_mod, "b_irregular_pairs", failing_at_101)
-    with pytest.raises(ArithmeticError):
-        run_survey(small_config(tmp_cache, x=500, threads=2))
-    assert finished_97.is_set()
+    with pytest.raises(ArithmeticError, match="kernel failure") as info:
+        run_survey(small_config(tmp_cache, x=500, threads=threads))
+    assert "in failing_at_101" in str(info.value.__cause__)  # the worker's traceback
     saved = ClassificationCache(tmp_cache).load_b_pairs()
-    assert 101 not in saved and 97 in saved
-    # every prime submitted before 101 had started, so it finished and was saved
-    assert {int(p) for p in sieve_primes(500) if p > 101} <= saved.keys()
+    # the rest of 101's batch, and every batch before and after it, is kept
+    assert sorted(saved) == [int(p) for p in sieve_primes(500) if p >= 5 and p != 101]
+    assert saved[37] == (32,)
+
+
+def test_interrupt_keeps_finished_batches(tmp_cache):
+    # Ctrl-C signals the whole process group: the survey and its forked workers
+    script = (
+        "import sys; from genocchi.survey import SurveyConfig, run_survey; "
+        "run_survey(SurveyConfig(ell=2, x=20000, cache_dir=sys.argv[1], threads=2))"
+    )
+    src = str(Path(survey_mod.__file__).parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, str(tmp_cache)],
+        env={**os.environ, "PYTHONPATH": src},
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    first = proc.stderr.readline()  # "b-irregularity: <done>/<todo> primes, ..."
+    os.killpg(proc.pid, signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode != 0
+    done = int(first.split()[1].split("/")[0])
+    # one traceback, the parent's: the workers ignore SIGINT and finish their batches
+    assert err.count("Traceback") == 1 and "KeyboardInterrupt" in err
+    saved = ClassificationCache(tmp_cache).load_b_pairs()
+    assert done <= len(saved) < 2260  # pi(20000) = 2262, less 2 and 3
+    # batches start largest first and none that started is lost: no gaps
+    largest = [int(p) for p in sieve_primes(20000)[::-1]][: len(saved)]
+    assert sorted(saved) == sorted(largest)
+    assert all(saved[p] == b_irregular_pairs(p) for p in largest[-20:])
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
@@ -335,6 +372,19 @@ def test_text_emission(tmp_cache):
     rows = run_survey(small_config(tmp_cache, variants=("Hplus", "Hminus")))
     text = emit_table("hpm", rows, "text")
     assert "H+ exp" in text and "3" in text
+
+
+def test_emit_table_rejects_an_unknown_layout(tmp_cache):
+    rows = run_survey(small_config(tmp_cache, x=500, variants=("G",)))
+    for fmt in ("text", "csv", "json"):
+        with pytest.raises(ValueError, match="unknown layout 'bogus'"):
+            emit_table("bogus", rows, fmt)
+
+
+def test_hpm_layout_needs_both_h_variants(tmp_cache):
+    rows = run_survey(small_config(tmp_cache, x=500, variants=("Hminus",)))
+    with pytest.raises(ValueError, match="Hplus and an Hminus row for ell = 3"):
+        emit_table("hpm", rows, "text")
 
 
 def test_survey_text_names_each_row(tmp_cache, capsys):
@@ -399,7 +449,11 @@ def test_cli_classify_checks_ell_before_the_kernel(capsys, monkeypatch):
 
 def test_survey_reports_progress_unless_quiet(tmp_cache, capsys):
     run_survey(small_config(tmp_cache, x=600, variants=("G",), quiet=False))
-    assert "b-irregularity: 107 primes in" in capsys.readouterr().err  # pi(600) = 109, less 2 and 3
+    lines = capsys.readouterr().err.splitlines()
+    assert "b-irregularity: 107 primes in" in lines[-1]  # pi(600) = 109, less 2 and 3
+    # one line per finished batch, the last one with every prime and nothing left
+    assert len(lines) - 1 >= 2 and all("ETA" in line for line in lines[:-1])
+    assert lines[-2].startswith("b-irregularity: 107/107 primes,") and lines[-2].endswith("ETA 0.0s")
 
 
 def test_cli_wieferich(capsys):
@@ -412,6 +466,59 @@ def test_cli_bernoulli_genocchi(capsys):
     assert capsys.readouterr().out.strip() == "-691/2730"
     assert cli_main(["genocchi", "--ell", "3", "--n", "2"]) == 0
     assert capsys.readouterr().out.strip() == "-4"
+
+
+def test_negative_threads_rejected_before_any_prime(tmp_cache, monkeypatch):
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
+    with pytest.raises(ValueError, match="threads"):
+        run_survey(small_config(tmp_cache, x=500, threads=-1))
+    assert cli_main(["survey", "--ell", "3", "--x", "500", "--threads", "-1", "--quiet"]) == 1
+
+
+def test_worker_count_is_capped_at_the_usable_cpus():
+    cpus = len(os.sched_getaffinity(0))
+    assert survey_mod._worker_count(0) == cpus
+    assert survey_mod._worker_count(5000) == cpus
+    assert survey_mod._worker_count(1) == 1
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: runs each task at once, in this process."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
+def test_pool_is_capped_at_the_batches(tmp_cache, monkeypatch):
+    sizes = []
+
+    def pool(max_workers, **options):
+        sizes.append(max_workers)
+        return _InlineExecutor()
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(survey_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
+    run_survey(small_config(tmp_cache, x=100, threads=5000))
+    # 64 CPUs would ask for 1024 batches, but 23 primes make at most 23 of them
+    assert sizes == [23]
+    run_survey(small_config(tmp_cache, x=100, threads=5000))  # warm: no pool at all
+    assert sizes == [23]
+
+
+def test_batches_carry_equal_work():
+    todo = [int(p) for p in sieve_primes(5000) if p >= 5][::-1]
+    batches = survey_mod._batches(todo, 32)
+    assert len(batches) == 32 and sum(batches, []) == todo
+    # each batch is within one prime's work of an equal share
+    work = [sum(p * math.log2(p) for p in batch) for batch in batches]
+    share, largest = sum(work) / 32, todo[0] * math.log2(todo[0])
+    assert all(abs(w - share) <= largest for w in work)
+    assert survey_mod._batches([7, 5], 32) == [[7], [5]]
 
 
 def test_thread_pool_matches_serial(tmp_path):
