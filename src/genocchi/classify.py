@@ -4,10 +4,9 @@ A prime is classified from multiplicative orders plus a B-irregularity flag.
 `b_irregular_pairs` finds the flag with the power-sum kernel. The rules
 (order thresholds and the p = 3 and p = ell edge cases) live in one function,
 `irregular_flags`, which applies them to whole arrays of primes at once: the
-survey calls it once per run, and `classify_from_orders` is its one-row case.
-`prime_orders` checks its inputs and computes the orders, `classify_prime`
-joins the two. `wieferich_search` lists a base's Wieferich primes, the other
-way a prime divides the H-sequences.
+survey calls it once per run, and `classify_prime` is its one-row case, with
+the orders from `prime_orders`. `wieferich_search` lists a base's Wieferich
+primes, the other way a prime divides the H-sequences.
 
 The congruence oracles that check this path (Voronoi, Kummer, Lehmer, exact
 p-adic valuations and brute-force divisor scans) live in tests/oracles.py.
@@ -27,7 +26,6 @@ __all__ = [
     "PrimeClassification",
     "b_irregular_pairs",
     "classify_prime",
-    "classify_from_orders",
     "irregular_flags",
     "prime_orders",
     "wieferich_search",
@@ -63,9 +61,7 @@ def b_irregular_pairs(p: int) -> tuple[int, ...]:
     """
     if p < 5:
         raise ValueError(f"p must be a prime >= 5, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    g = primitive_root(p)
+    g = primitive_root(p)  # raises for a composite p
     sums = power_sums(p, half_coefficients(p, g))
     return tuple(2 * (int(i) + 1) for i in np.flatnonzero(sums == 0))
 
@@ -75,11 +71,12 @@ def prime_orders(ell: int, p: int) -> tuple[int, int, int]:
 
     One order computation gives all three: with o = ord_p(ell),
     ord_p(ell**2) = o / gcd(o, 2), and by Euler's criterion (ell/p) = 1
-    exactly when o divides (p-1)/2. All three are 0 when p = ell.
+    exactly when o divides (p-1)/2. All three are 0 when p = ell; any other p
+    is checked by `mult_order`.
     """
     if p == 2:
         raise ValueError("2 is never classified; the definitions cover odd primes")
-    if not is_prime(p) or not is_prime(ell):
+    if not is_prime(ell):
         raise ValueError(f"both ell={ell} and p={p} must be prime")
     if p == ell:
         return (0, 0, 0)
@@ -88,14 +85,11 @@ def prime_orders(ell: int, p: int) -> tuple[int, int, int]:
 
 
 def classify_prime(ell: int, p: int, b_irregular: bool) -> PrimeClassification:
-    """Classify an odd prime p for base ell from its orders and the supplied B-flag."""
-    return classify_from_orders(ell, p, prime_orders(ell, p), b_irregular)
+    """Classify an odd prime p for base ell from its orders and the supplied B-flag.
 
-
-def classify_from_orders(
-    ell: int, p: int, orders: tuple[int, int, int], b_irregular: bool
-) -> PrimeClassification:
-    """`irregular_flags` for one prime, as a record of Python values."""
+    This is `irregular_flags` for one prime, as a record of Python values.
+    """
+    orders = prime_orders(ell, p)
     g, h, hm, hp = (bool(mask[0]) for mask in irregular_flags(ell, [p], [orders], [b_irregular]))
     return PrimeClassification(p, ell, *orders, bool(b_irregular) and p > 3, g, h, hm, hp)
 

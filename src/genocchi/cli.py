@@ -165,9 +165,9 @@ def _cmd_density(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = args.p
-    orders = classify_mod.prime_orders(args.ell, p)  # checks ell and p before the kernel runs
+    classify_mod.prime_orders(args.ell, p)  # checks ell and p before the kernel runs
     b = bool(classify_mod.b_irregular_pairs(p)) if p >= 5 else False
-    c = classify_mod.classify_from_orders(args.ell, p, orders, b)
+    c = classify_mod.classify_prime(args.ell, p, b)
     print(
         f"p={c.p} ell={c.ell} ord={c.ord_ell} ord_sq={c.ord_ell_sq} "
         f"jacobi={c.jacobi_ell_p} B={int(c.b_irregular)} G={int(c.g_irregular)} "
@@ -208,7 +208,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, SurveyError) as exc:
+    except (ValueError, SurveyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,18 +10,24 @@ a set cut out by a multiplicative-order condition on a prime base ell:
   delta_minus_total  ord_p(ell)    in {p-1, (p-1)/2}
   delta_g            ord_p(ell**2) = (p - 1) / 2    (the G-regular candidates)
 
-Each density is one function of (ell, d, a) with one coefficient table; the
-all-primes value is its (ell, 1, 1) case, and every ratio goes through it.
-Base ell = 2 has a closed form for delta_g in every class (its own table,
-split on 4 | d, 8 | d and a mod 8), but alpha_primroot and alpha_minus only
-over all primes (d = 1); they reject ell = 2 in a progression. Every entry
-point takes a prime base ell and raises ValueError for any other; this module
-alone decides which (kind, ell, d, a) has a closed form.
+Each coefficient table holds only its 4 | d rows, where a is odd. Any other
+class (d = 1 included) is the disjoint union of its odd lifts a + k*d mod 4d,
+split evenly between p = 1 and p = 3 mod 4, so its coefficient is their mean;
+every lift b has r_factor(4d, b) = r_factor(d, a), so one factor serves all.
+For odd ell, delta_g has no table of its own: ord_p(ell**2) = (p-1)/2 exactly
+when ord_p(ell) = p-1, or ord_p(ell) = (p-1)/2 and p = 3 mod 4, so its
+coefficient is alpha_primroot's plus, on a = 3 mod 4, alpha_minus's.
 
-All case tables are evaluated in exact Fractions; floats appear only when a
-value is rendered against the reference Artin constant. The independent
-tables that cross-check these (and the Euler product for the constant) live
-in the test suite.
+Base ell = 2 keeps its own delta_g rows, but alpha_primroot and alpha_minus
+have closed forms only over all primes (A and 3/4 * A) and reject ell = 2 in a
+progression. Every entry point takes a prime base ell and raises ValueError
+for any other; this module alone decides which (kind, ell, d, a) has a closed
+form, and every ratio goes through it.
+
+All coefficients are exact Fractions; floats appear only when a value is
+rendered against the reference Artin constant. The full tables these rows
+replace, the tables that cross-check them and the Euler product for the
+constant live in the test suite.
 """
 
 from __future__ import annotations
@@ -122,74 +128,73 @@ def _require_odd_prime_in_progression(ell: int, d: int) -> None:
         raise ValueError("closed form in a progression only covers odd prime bases")
 
 
-def _sym_a_over_ell(a: int, ell: int) -> int:
-    return jacobi(a % ell, ell)
-
-
-def _sym_ell_over_a(ell: int, a: int) -> int:
-    """(ell / a) for the arguments the case tables produce.
-
-    When ell = 1 mod 4 reciprocity gives (ell/a) = (a/ell), which also covers
-    even a. Otherwise the tables only ask for odd a (4 | d forces a odd).
-    """
-    if ell % 4 == 1:
-        return jacobi(a % ell, ell)
-    if a % 2 == 0:
-        raise ValueError(f"(ell/a) with even a={a} only arises for ell = 1 mod 4")
-    return jacobi(ell % a, a) if a > 1 else 1
-
-
 def _sym_minus_one(a: int) -> int:
-    if a % 2 == 0:
-        raise ValueError(f"(-1/a) needs odd a, got {a}")
+    """(-1/a) for odd a."""
     return 1 if a % 4 == 1 else -1
+
+
+def _lifted(rows, ell: int, d: int, a: int) -> LinearInA:
+    """The density A * c * r_factor(d, a), with c from the 4 | d `rows` by the lift rule."""
+    if d % 4 == 0:
+        c = rows(ell, d, a)
+    else:
+        lifts = [b for b in range(a, a + 4 * d, d) if b % 2]
+        c = sum(rows(ell, 4 * d, b) for b in lifts) / len(lifts)
+    return LinearInA(Fraction(0), c * r_factor(d, a))
+
+
+def _c_primroot(ell: int, d: int, a: int) -> Fraction:
+    """Coefficient for alpha_primroot at 4 | d, split by ell | d and ell mod 4."""
+    if d % ell == 0:
+        return 1 - Fraction(jacobi(ell, a))
+    eps = 1 if ell % 4 == 1 else _sym_minus_one(a)
+    return 1 + Fraction(eps, ell * ell - ell - 1)
 
 
 def alpha_primroot(ell: int, d: int, a: int) -> LinearInA:
     """Relative density of primes p = a mod d with ell a primitive root mod p."""
     ell, d, a = _canonical(ell, d, a)
     _require_odd_prime_in_progression(ell, d)
+    if ell == 2:
+        return LinearInA.of(0, 1)
+    return _lifted(_c_primroot, ell, d, a)
+
+
+def _c_minus(ell: int, d: int, a: int) -> Fraction:
+    """Coefficient for the half-order density alpha_minus at 4 | d."""
     L = ell * ell - ell - 1
-    ell_div = d % ell == 0
-    four_div = d % 4 == 0
-    if ell % 4 == 1:
-        if ell_div:
-            c1 = 1 - Fraction(_sym_ell_over_a(ell, a))
-        else:
-            c1 = 1 + Fraction(1, L)
-    else:
-        if four_div and ell_div:
-            c1 = 1 - Fraction(_sym_ell_over_a(ell, a))
-        elif four_div:
-            c1 = 1 + _sym_minus_one(a) * Fraction(1, L)
-        else:
-            c1 = Fraction(1)
-    return LinearInA(Fraction(0), c1 * r_factor(d, a))
+    if d % ell != 0:
+        if a % 4 == 1:
+            return (1 - Fraction(1, L)) / 2
+        return 1 - Fraction(_sym_minus_one(ell), L)
+    if jacobi(ell, a) == -1:
+        return Fraction(0)
+    return Fraction(3 - _sym_minus_one(a), 2)
+
+
+def alpha_minus(ell: int, d: int, a: int) -> LinearInA:
+    """Relative density of primes p = a mod d with ord_p(ell) = (p-1)/2."""
+    ell, d, a = _canonical(ell, d, a)
+    _require_odd_prime_in_progression(ell, d)
+    if ell == 2:
+        return LinearInA.of(0, Fraction(3, 4))
+    return _lifted(_c_minus, ell, d, a)
 
 
 def _c_g(ell: int, d: int, a: int) -> Fraction:
-    """Coefficient for delta_g, split by ell | d, 4 | d, a mod 4 and (a/ell)."""
-    L = ell * ell - ell - 1
-    ell_div = d % ell == 0
-    four_div = d % 4 == 0
-    if not ell_div and not four_div:
-        return Fraction(3 + Fraction(1, L), 2)
-    if not ell_div:  # 4 | d
-        return 1 + Fraction(1, L) if a % 4 == 1 else Fraction(2)
-    s = _sym_a_over_ell(a, ell)
-    if not four_div:
-        return Fraction(1) if s == 1 else Fraction(2)
-    if a % 4 == 3 or s == -1:
+    """Coefficient for delta_g at 4 | d.
+
+    For odd ell, ord_p(ell**2) = (p-1)/2 exactly when ell is a primitive root
+    mod p, or ord_p(ell) = (p-1)/2 and p = 3 mod 4; the two sets are disjoint.
+    Base 2 has its own rows, split by 8 | d and a mod 8.
+    """
+    if ell != 2:
+        c = _c_primroot(ell, d, a)
+        return c + _c_minus(ell, d, a) if a % 4 == 3 else c
+    if a % 4 == 3:
         return Fraction(2)
-    return Fraction(0)  # 4*ell | d, a square mod ell, a = 1 mod 4
-
-
-def _c_g_two(d: int, a: int) -> Fraction:
-    """Coefficient for delta_g at ell = 2, split by 4 | d, 8 | d and a mod 8."""
-    if d % 4 != 0:
-        return Fraction(3, 2)
     if d % 8 != 0:
-        return Fraction(1) if a % 4 == 1 else Fraction(2)
+        return Fraction(1)
     return Fraction(0) if a % 8 == 1 else Fraction(2)  # 4 is never of order (p-1)/2 if p = 1 mod 8
 
 
@@ -199,47 +204,7 @@ def delta_g(ell: int, d: int, a: int) -> LinearInA:
     These are exactly the candidates for G-regularity; the G-survey lower
     bounds and conjectured ratios are built from 1 - delta_g.
     """
-    ell, d, a = _canonical(ell, d, a)
-    c = _c_g_two(d, a) if ell == 2 else _c_g(ell, d, a)
-    return LinearInA(Fraction(0), c * r_factor(d, a))
-
-
-def _c_minus(ell: int, d: int, a: int) -> Fraction:
-    """Coefficient for the half-order density alpha_minus.
-
-    The 4 | d half of the table is the proof-backed one; the 4-does-not-divide
-    half follows by averaging the two mod-4 lifts, which fixes the published
-    (ell | d, ell = 3 mod 4) row to (3 - (a/ell))/4. Base 2 has only its
-    all-primes value 3/4.
-    """
-    if ell == 2:
-        return Fraction(3, 4)
-    L = ell * ell - ell - 1
-    ell_div = d % ell == 0
-    eps_ell = 1 if ell % 4 == 1 else -1  # (-1/ell)
-    if d % 4 == 0:
-        if not ell_div:
-            if a % 4 == 1:
-                return Fraction(1 - Fraction(1, L), 2)
-            return 1 - eps_ell * Fraction(1, L)
-        if _sym_ell_over_a(ell, a) == -1:
-            return Fraction(0)
-        return Fraction(3 - _sym_minus_one(a), 2)
-    if not ell_div:
-        if ell % 4 == 1:
-            return Fraction(3, 4) * (1 - Fraction(1, L))
-        return Fraction(3 + Fraction(1, L), 4)
-    s = _sym_a_over_ell(a, ell)
-    if ell % 4 == 1:
-        return Fraction(3, 4) * (1 + s)
-    return Fraction(3 - s, 4)
-
-
-def alpha_minus(ell: int, d: int, a: int) -> LinearInA:
-    """Relative density of primes p = a mod d with ord_p(ell) = (p-1)/2."""
-    ell, d, a = _canonical(ell, d, a)
-    _require_odd_prime_in_progression(ell, d)
-    return LinearInA(Fraction(0), _c_minus(ell, d, a) * r_factor(d, a))
+    return _lifted(_c_g, *_canonical(ell, d, a))
 
 
 def delta_minus_total(ell: int, d: int, a: int) -> LinearInA:

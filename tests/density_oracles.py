@@ -1,9 +1,21 @@
 """Independent density tables that exist only to cross-check genocchi.density.
 
-Each one reaches a value of the package by another route: an alternative
-coefficient table for delta_g, a direct table for delta_minus_total (which the
-package computes as a sum of two components), the all-primes densities as
-closed forms of ell alone, and the Euler product for the Artin constant.
+Each one reaches a value of the package by another route:
+  alpha_primroot_full, alpha_minus_full
+                     the full coefficient tables of alpha_primroot and
+                     alpha_minus, every class written out, including the
+                     4-does-not-divide-d rows the package derives from its
+                     4 | d rows by the lift rule
+  delta_g_alt        an alternative coefficient table for delta_g in
+                     Jacobi-symbol form, ell = 2 included
+  delta_minus_total_direct
+                     a direct table for delta_minus_total, which the package
+                     computes as a sum of two components
+  delta_near_primroot, delta_ell_sq_2
+                     the all-primes densities as closed forms of ell alone
+  artin_euler_product
+                     the Euler product for the Artin constant
+The symbols (a/ell) and (ell/a) are computed here with modarith.jacobi.
 """
 
 from fractions import Fraction
@@ -13,8 +25,8 @@ import numpy as np
 from genocchi.density import (
     LinearInA,
     _canonical,
+    _require_odd_prime_in_progression,
     _require_prime,
-    _sym_a_over_ell,
     r_factor,
 )
 from genocchi.modarith import jacobi, sieve_primes
@@ -28,6 +40,89 @@ def artin_euler_product(limit: int = 10**7) -> float:
     """
     p = sieve_primes(limit).astype(np.float64)
     return float(np.exp(np.log1p(-1.0 / (p * (p - 1.0))).sum()))
+
+
+def _sym_a_over_ell(a: int, ell: int) -> int:
+    return jacobi(a % ell, ell)
+
+
+def _sym_ell_over_a(ell: int, a: int) -> int:
+    """(ell / a) for the arguments the case tables produce.
+
+    When ell = 1 mod 4 reciprocity gives (ell/a) = (a/ell), which also covers
+    even a. Otherwise the tables only ask for odd a (4 | d forces a odd).
+    """
+    if ell % 4 == 1:
+        return jacobi(a % ell, ell)
+    if a % 2 == 0:
+        raise ValueError(f"(ell/a) with even a={a} only arises for ell = 1 mod 4")
+    return jacobi(ell % a, a) if a > 1 else 1
+
+
+def _sym_minus_one(a: int) -> int:
+    if a % 2 == 0:
+        raise ValueError(f"(-1/a) needs odd a, got {a}")
+    return 1 if a % 4 == 1 else -1
+
+
+def alpha_primroot_full(ell: int, d: int, a: int) -> LinearInA:
+    """Relative density of primes p = a mod d with ell a primitive root mod p."""
+    ell, d, a = _canonical(ell, d, a)
+    _require_odd_prime_in_progression(ell, d)
+    L = ell * ell - ell - 1
+    ell_div = d % ell == 0
+    four_div = d % 4 == 0
+    if ell % 4 == 1:
+        if ell_div:
+            c1 = 1 - Fraction(_sym_ell_over_a(ell, a))
+        else:
+            c1 = 1 + Fraction(1, L)
+    else:
+        if four_div and ell_div:
+            c1 = 1 - Fraction(_sym_ell_over_a(ell, a))
+        elif four_div:
+            c1 = 1 + _sym_minus_one(a) * Fraction(1, L)
+        else:
+            c1 = Fraction(1)
+    return LinearInA(Fraction(0), c1 * r_factor(d, a))
+
+
+def _c_minus_full(ell: int, d: int, a: int) -> Fraction:
+    """Coefficient for the half-order density alpha_minus.
+
+    The 4 | d half of the table is the proof-backed one; the 4-does-not-divide
+    half follows by averaging the two mod-4 lifts, which fixes the published
+    (ell | d, ell = 3 mod 4) row to (3 - (a/ell))/4. Base 2 has only its
+    all-primes value 3/4.
+    """
+    if ell == 2:
+        return Fraction(3, 4)
+    L = ell * ell - ell - 1
+    ell_div = d % ell == 0
+    eps_ell = 1 if ell % 4 == 1 else -1  # (-1/ell)
+    if d % 4 == 0:
+        if not ell_div:
+            if a % 4 == 1:
+                return Fraction(1 - Fraction(1, L), 2)
+            return 1 - eps_ell * Fraction(1, L)
+        if _sym_ell_over_a(ell, a) == -1:
+            return Fraction(0)
+        return Fraction(3 - _sym_minus_one(a), 2)
+    if not ell_div:
+        if ell % 4 == 1:
+            return Fraction(3, 4) * (1 - Fraction(1, L))
+        return Fraction(3 + Fraction(1, L), 4)
+    s = _sym_a_over_ell(a, ell)
+    if ell % 4 == 1:
+        return Fraction(3, 4) * (1 + s)
+    return Fraction(3 - s, 4)
+
+
+def alpha_minus_full(ell: int, d: int, a: int) -> LinearInA:
+    """Relative density of primes p = a mod d with ord_p(ell) = (p-1)/2."""
+    ell, d, a = _canonical(ell, d, a)
+    _require_odd_prime_in_progression(ell, d)
+    return LinearInA(Fraction(0), _c_minus_full(ell, d, a) * r_factor(d, a))
 
 
 def _c_g_alt(ell: int, d: int, a: int) -> Fraction:

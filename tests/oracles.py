@@ -18,7 +18,7 @@ Sequences (checks of `exactseq.bernoulli`):
 Classification (checks of `classify`):
   order_criterion_oracle    brute-force scans of ell**n +- 1 mod p, one per
                             name in ORDER_CRITERIA: the divisibility sides of
-                            the order thresholds in `classify_from_orders`
+                            the order thresholds in `irregular_flags`
   divides_sequence          p | sequence as classification flag or Wieferich
                             membership, against exact H-values
   valuation_h               closed-form p-adic valuations of H at (p-1) | 2n,

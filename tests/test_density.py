@@ -22,6 +22,8 @@ from genocchi.density import (
 from genocchi.modarith import jacobi, mult_order, sieve_primes
 
 from density_oracles import (
+    alpha_minus_full,
+    alpha_primroot_full,
     artin_euler_product,
     delta_ell_sq_2,
     delta_g_alt,
@@ -221,6 +223,59 @@ def test_c2_is_component_sum_500():
         total = delta_minus_total(ell, d, a)
         assert total == alpha_minus(ell, d, a) + alpha_primroot(ell, d, a)
         assert total == delta_minus_total_direct(ell, d, a), (ell, d, a)
+
+
+def _classes(dmax):
+    """Every (d, a) with gcd(a, d) = 1 and 1 <= a <= d <= dmax."""
+    return [(d, a) for d in range(1, dmax + 1) for a in range(1, d + 1) if math.gcd(a, d) == 1]
+
+
+def test_derived_rows_match_the_full_tables():
+    # the package keeps only the 4 | d rows and lifts every other class from them;
+    # odd-ell delta_g comes from alpha_primroot and alpha_minus
+    for ell in TABLE_1_BASES:
+        for d, a in _classes(48):
+            assert delta_g(ell, d, a) == delta_g_alt(ell, d, a), (ell, d, a)
+            if ell == 2 and d != 1:  # no alpha closed form for base 2 in a progression
+                continue
+            assert alpha_primroot(ell, d, a) == alpha_primroot_full(ell, d, a), (ell, d, a)
+            assert alpha_minus(ell, d, a) == alpha_minus_full(ell, d, a), (ell, d, a)
+            assert delta_minus_total(ell, d, a) == delta_minus_total_direct(ell, d, a), (ell, d, a)
+
+
+#: density -> whether ell's orders mod p, (ord_p(ell), ord_p(ell**2)), meet its condition
+ORDER_CONDITIONS = {
+    alpha_primroot: lambda p, o, o_sq: o == p - 1,
+    alpha_minus: lambda p, o, o_sq: o == (p - 1) // 2,
+    delta_g: lambda p, o, o_sq: o_sq == (p - 1) // 2,
+}
+
+
+def test_exact_zero_densities_have_no_primes():
+    # where a density is exactly 0 the theory is exact, not asymptotic: no odd
+    # prime p <= 10**5 of the class, other than ell (p | d is ruled out by
+    # gcd(a, d) = 1), may meet the order condition
+    primes = [int(p) for p in sieve_primes(10**5)[1:]]
+    cells = zeros = 0
+    for ell in TABLE_1_BASES:
+        zero_cells = []
+        for density, meets in ORDER_CONDITIONS.items():
+            for d, a in _classes(24):
+                try:
+                    value = density(ell, d, a)
+                except ValueError:  # alpha at ell = 2 in a progression
+                    continue
+                cells += 1
+                if value == LinearInA.of(0, 0):
+                    zero_cells.append((d, a, meets))
+        zeros += len(zero_cells)
+        for p in primes:
+            members = [meets for d, a, meets in zero_cells if p % d == a % d]
+            if p == ell or not members:
+                continue
+            o, o_sq = mult_order(ell, p), mult_order(ell * ell, p)
+            assert not any(meets(p, o, o_sq) for meets in members), (ell, p)
+    assert (cells, zeros) == (3962, 74)
 
 
 def test_delta_g_crt_halving_500():

@@ -447,6 +447,23 @@ def test_cli_classify_checks_ell_before_the_kernel(capsys, monkeypatch):
     assert captured.out == "" and "must be prime" in captured.err
 
 
+def test_cli_classify_rejects_a_composite_p(capsys):
+    assert cli_main(["classify", "--ell", "2", "--p", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: p must be an odd prime, got 9\n"
+
+
+def test_cli_unusable_cache_dir_is_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    argv = ["survey", "--ell", "3", "--x", "1000", "--cache-dir", str(blocker), "--quiet"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert blocker.read_text() == "a regular file\n"
+
+
 def test_survey_reports_progress_unless_quiet(tmp_cache, capsys):
     run_survey(small_config(tmp_cache, x=600, variants=("G",), quiet=False))
     lines = capsys.readouterr().err.splitlines()
