@@ -4,9 +4,9 @@ A prime is classified from multiplicative orders plus a B-irregularity flag.
 `b_irregular_pairs` finds the flag with the power-sum kernel. The rules
 (order thresholds and the p = 3 and p = ell edge cases) live in one function,
 `irregular_flags`, which applies them to whole arrays of primes at once: the
-survey calls it once per run, and `classify_prime` is its one-row case, with
-the orders from `prime_orders`. `wieferich_search` lists a base's Wieferich
-primes, the other way a prime divides the H-sequences.
+survey calls it once per run, and `classify_prime(ell, p)` is its one-row
+case, with the orders from `prime_orders` and the flag from the kernel.
+`wieferich_search` lists a base's Wieferich primes, the other H-sequence divisors.
 
 The congruence oracles that check this path (Voronoi, Kummer, Lehmer, exact
 p-adic valuations and brute-force divisor scans) live in tests/oracles.py.
@@ -84,14 +84,16 @@ def prime_orders(ell: int, p: int) -> tuple[int, int, int]:
     return o, o // math.gcd(o, 2), 1 if (p - 1) // 2 % o == 0 else -1
 
 
-def classify_prime(ell: int, p: int, b_irregular: bool) -> PrimeClassification:
-    """Classify an odd prime p for base ell from its orders and the supplied B-flag.
+def classify_prime(ell: int, p: int) -> PrimeClassification:
+    """Classify an odd prime p for base ell: `irregular_flags` for one prime.
 
-    This is `irregular_flags` for one prime, as a record of Python values.
+    The orders come first, so a bad ell or p fails before the kernel runs;
+    the B flag is `b_irregular_pairs(p)` for p > 3 (2 and 3 have none).
     """
     orders = prime_orders(ell, p)
-    g, h, hm, hp = (bool(mask[0]) for mask in irregular_flags(ell, [p], [orders], [b_irregular]))
-    return PrimeClassification(p, ell, *orders, bool(b_irregular) and p > 3, g, h, hm, hp)
+    b = p > 3 and bool(b_irregular_pairs(p))
+    g, h, hm, hp = (bool(mask[0]) for mask in irregular_flags(ell, [p], [orders], [b]))
+    return PrimeClassification(p, ell, *orders, b, g, h, hm, hp)
 
 
 def irregular_flags(

@@ -154,20 +154,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_density(args) -> int:
     value = _DENSITY_KINDS[args.kind](args.ell, args.d, args.a)
-    if isinstance(value, float):
-        print(f"{value:.9f}")
-    elif isinstance(value, density_mod.LinearInA):
-        print(f"{value} = {value.value():.9f}")
-    else:
-        print(f"{value} = {float(value):.9f}")
+    print(f"{value:.9f}" if isinstance(value, float) else f"{value} = {float(value):.9f}")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    p = args.p
-    classify_mod.prime_orders(args.ell, p)  # checks ell and p before the kernel runs
-    b = bool(classify_mod.b_irregular_pairs(p)) if p >= 5 else False
-    c = classify_mod.classify_prime(args.ell, p, b)
+    c = classify_mod.classify_prime(args.ell, args.p)
     print(
         f"p={c.p} ell={c.ell} ord={c.ord_ell} ord_sq={c.ord_ell_sq} "
         f"jacobi={c.jacobi_ell_p} B={int(c.b_irregular)} G={int(c.g_irregular)} "

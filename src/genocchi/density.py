@@ -64,7 +64,7 @@ RATIO_KINDS = ("G", "Hminus", "Hplus")
 
 @dataclass(frozen=True)
 class LinearInA:
-    """Exact value r0 + r1 * A with A the Artin constant."""
+    """Exact value r0 + r1 * A with A the Artin constant; float() takes A = ARTIN."""
 
     r0: Fraction
     r1: Fraction
@@ -80,8 +80,8 @@ class LinearInA:
         c = Fraction(c)
         return LinearInA(self.r0 * c, self.r1 * c)
 
-    def value(self, artin: float = ARTIN) -> float:
-        return float(self.r0) + float(self.r1) * artin
+    def __float__(self) -> float:
+        return float(self.r0) + float(self.r1) * ARTIN
 
     def __str__(self) -> str:
         if self.r1 == 0:
@@ -240,9 +240,9 @@ def _delta_for_kind(kind: str, ell: int, d: int, a: int) -> LinearInA:
 
 def conjectured_ratio(kind: str, ell: int, d: int = 1, a: int = 1) -> float:
     """Conjectured share of irregular primes: 1 - delta / sqrt(e)."""
-    return 1.0 - _delta_for_kind(kind, ell, d, a).value() / SQRT_E
+    return 1.0 - float(_delta_for_kind(kind, ell, d, a)) / SQRT_E
 
 
 def lower_bound_ratio(kind: str, ell: int, d: int = 1, a: int = 1) -> float:
     """Unconditional lower bound on the share of irregular primes: 1 - delta."""
-    return max(0.0, 1.0 - _delta_for_kind(kind, ell, d, a).value())
+    return max(0.0, 1.0 - float(_delta_for_kind(kind, ell, d, a)))

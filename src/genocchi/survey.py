@@ -128,8 +128,8 @@ class SurveyRow:
 
 
 def resolve_cache_dir(configured: Path | str | None) -> Path:
-    """An explicit directory wins; GENOCCHI_CACHE_DIR applies only when none is given."""
-    if configured is not None:
+    """A given directory wins, then GENOCCHI_CACHE_DIR; an empty string counts as not given."""
+    if configured:
         return Path(configured).expanduser()
     env = os.environ.get(CACHE_ENV)
     if env:
@@ -321,6 +321,10 @@ def _ensure_orders(ell: int, primes: np.ndarray, cache: ClassificationCache) -> 
 def run_survey(config: SurveyConfig) -> list[SurveyRow]:
     """Classify all primes <= x and build one row per (progression, variant)."""
     primes = sieve_primes(config.x)
+    classes = {(d, a): primes % d == a % d for d, a in config.progressions}
+    empty = [f"{a} mod {d}" for (d, a), in_class in classes.items() if not in_class.any()]
+    if empty:  # before the B-stage: a row with no prime has no ratio
+        raise ValueError(f"no prime <= {config.x} is {', '.join(empty)}")
     cache = ClassificationCache(resolve_cache_dir(config.cache_dir))
     b_pairs = _ensure_b_pairs(primes, cache, config.threads, config.quiet)
     orders = _ensure_orders(config.ell, primes, cache)
@@ -330,7 +334,7 @@ def run_survey(config: SurveyConfig) -> list[SurveyRow]:
 
     rows: list[SurveyRow] = []
     for d, a in config.progressions:
-        in_class = primes % d == a % d
+        in_class = classes[d, a]
         denominator = int(np.count_nonzero(in_class))
         for variant in config.variants:
             count = int(np.count_nonzero(flags[variant] & in_class))

@@ -147,8 +147,7 @@ def test_criterion_3_classifier_golden_list():
     start = time.perf_counter()
     hits = []
     for p in (int(q) for q in sieve_primes(1000)[1:]):
-        b = bool(b_irregular_pairs(p)) if p >= 5 else False
-        if classify_prime(2, p, b).g_irregular:
+        if classify_prime(2, p).g_irregular:
             hits.append(p)
         if len(hits) == 20:
             break
@@ -241,12 +240,10 @@ def test_criterion_6_oracle_equivalence(bernoulli_800):
 
     # (a) order-criterion classifiers vs exact-rational divisibility scans
     for p in ODD_PRIMES_500:
-        pairs = b_irregular_pairs(p) if p >= 5 else []
-        b = bool(pairs)
         for ell in (2, 3, 5):
             if p == ell:
                 continue
-            c = classify_prime(ell, p, b)
+            c = classify_prime(ell, p)
             g = hm = hp = False
             for n2 in range(2, p - 2, 2):
                 bdiv = bernoulli(n2).numerator % p == 0
@@ -402,7 +399,7 @@ def test_criterion_8_density_property_suite():
     # strict case bounds and the exact zero set
     for ell, d, a in random_triples(500, seed=109, dmax=900):
         value = delta_g(ell, d, a)
-        numeric = value.value()
+        numeric = float(value)
         assert 0.0 <= numeric <= 1.0
         bound = _case_bound(ell, d, a)
         zero_case = d % (4 * ell) == 0 and jacobi(a % ell, ell) == 1 and a % 4 == 1

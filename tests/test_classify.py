@@ -2,7 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from genocchi.classify import b_irregular_pairs, classify_prime, wieferich_search
+from genocchi.classify import (
+    b_irregular_pairs,
+    classify_prime,
+    irregular_flags,
+    prime_orders,
+    wieferich_search,
+)
 from genocchi.exactseq import ConsistencyError, bernoulli
 from genocchi.modarith import mult_order, sieve_primes
 
@@ -56,33 +62,36 @@ def test_b_irregular_pairs_domain():
 
 
 def test_classify_examples():
-    assert classify_prime(2, 17, False).g_irregular
-    assert not classify_prime(2, 13, False).g_irregular
-    assert classify_prime(3, 13, False).g_irregular  # forced: 13 = 1 mod 4, (3|13) = 1
+    assert classify_prime(2, 17).g_irregular
+    assert not classify_prime(2, 13).g_irregular
+    assert classify_prime(3, 13).g_irregular  # forced: 13 = 1 mod 4, (3|13) = 1
+    assert classify_prime(2, 37).b_irregular and not classify_prime(2, 5).b_irregular
 
 
 def test_classify_edge_rules():
     with pytest.raises(ValueError):
-        classify_prime(2, 2, False)
-    three = classify_prime(7, 3, False)
+        classify_prime(2, 2)
+    three = classify_prime(7, 3)
     assert not any(
         [three.b_irregular, three.g_irregular, three.h_irregular,
          three.h_minus_irregular, three.h_plus_irregular]
     )
     # p = ell > 3 is G-irregular; its H flags follow the B flag
-    own = classify_prime(5, 5, False)
+    own = classify_prime(5, 5)
     assert own.g_irregular and not own.h_irregular
-    own_b = classify_prime(5, 5, True)
-    assert own_b.g_irregular and own_b.h_irregular and own_b.h_minus_irregular
-    # p = ell = 3 stays regular
-    assert not classify_prime(3, 3, False).g_irregular
+    g, h, hm, hp = irregular_flags(5, [5], [prime_orders(5, 5)], [True])
+    assert g[0] and h[0] and hm[0] and hp[0]
+    # 2 and 3 stay regular whatever their B flag, and so does p = ell = 3
+    for ell in (3, 7):
+        flags = irregular_flags(ell, [2, 3], [(0, 0, 0), prime_orders(ell, 3)], [True, True])
+        assert not any(mask.any() for mask in flags), ell
+    assert not classify_prime(3, 3).g_irregular
 
 
 def test_classification_invariants():
     for p in ODD_PRIMES_500:
-        b = bool(b_irregular_pairs(p)) if p >= 5 else False
         for ell in (2, 3, 5):
-            c = classify_prime(ell, p, b)
+            c = classify_prime(ell, p)
             assert c.h_irregular == (c.h_minus_irregular or c.h_plus_irregular), (ell, p)
             if p != ell:
                 assert c.g_irregular == c.h_irregular
@@ -94,12 +103,10 @@ def test_classification_invariants():
 def test_classify_agrees_with_exact_divisibility(bernoulli_800):
     # order criteria vs exact-rational divisibility of the sequence values
     for p in ODD_PRIMES_500:
-        pairs = b_irregular_pairs(p) if p >= 5 else []
-        b = bool(pairs)
         for ell in (2, 3, 5):
             if p == ell:
                 continue
-            c = classify_prime(ell, p, b)
+            c = classify_prime(ell, p)
             g = hm = hp = False
             for n2 in range(2, p - 2, 2):
                 bdiv = bernoulli(n2).numerator % p == 0
@@ -114,11 +121,10 @@ def test_h_regular_pair_rule():
     for p in ODD_PRIMES_500:
         if p < 5:
             continue
-        b = bool(b_irregular_pairs(p))
         for ell in (2, 3, 5):
             if p == ell:
                 continue
-            c = classify_prime(ell, p, b)
+            c = classify_prime(ell, p)
             if not c.b_irregular and p % 4 == 3 and c.ord_ell == (p - 1) // 2:
                 assert not c.h_minus_irregular and not c.h_plus_irregular
 
@@ -167,21 +173,21 @@ def test_order_criterion_domain():
 
 def test_divides_sequence_disjunction():
     # 13 is regular for base 2, so only the Wieferich flag can make it a divisor
-    c = classify_prime(2, 13, False)
+    c = classify_prime(2, 13)
     assert not c.h_irregular
     assert divides_sequence(2, 13, "full", c, wieferich=True)
     assert not divides_sequence(2, 13, "full", c, wieferich=False)
     # any irregular prime divides regardless of the flag
-    c313 = classify_prime(3, 13, False)
+    c313 = classify_prime(3, 13)
     assert c313.h_minus_irregular
     assert divides_sequence(3, 13, "minus", c313, wieferich=False)
     # 1093 is base-2 Wieferich and also order-criterion irregular
-    c1093 = classify_prime(2, 1093, False)
+    c1093 = classify_prime(2, 1093)
     assert divides_sequence(2, 1093, "full", c1093, wieferich=True)
 
 
 def test_divides_sequence_mismatch():
-    c = classify_prime(2, 17, False)
+    c = classify_prime(2, 17)
     with pytest.raises(ConsistencyError):
         divides_sequence(3, 17, "full", c, False)
 
@@ -192,8 +198,7 @@ def test_divides_sequence_small_p_exact_scan(bernoulli_800):
     for p in [int(q) for q in sieve_primes(200)[1:]]:
         if p == ell:
             continue
-        pairs = b_irregular_pairs(p) if p >= 5 else []
-        c = classify_prime(ell, p, bool(pairs))
+        c = classify_prime(ell, p)
         for variant, wvariant in (("full", "minus"), ("minus", "minus"), ("plus", "plus")):
             w = (
                 pow(ell, (p - 1) // 2, p * p) == (1 if wvariant == "minus" else p * p - 1)

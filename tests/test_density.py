@@ -69,7 +69,7 @@ def test_linear_in_a_algebra():
     y = LinearInA.of(0, Fraction(2, 3))
     assert x + y == LinearInA.of(Fraction(1, 2), 1)
     assert x.scale(2) == LinearInA.of(1, Fraction(2, 3))
-    assert abs(y.value() - 2 * ARTIN / 3) < 1e-15
+    assert abs(float(y) - 2 * ARTIN / 3) < 1e-15
     assert str(y) == "2/3 * A"
     assert str(LinearInA.of(Fraction(3, 4), 0)) == "3/4"
 
@@ -201,7 +201,7 @@ def test_delta_g_two_matches_prime_counts():
     for d, a in TWO_CLASSES + TWO_ZERO_CLASSES:
         members = [p for p in primes if p % d == a % d]
         share = sum(hit[p] for p in members) / len(members)
-        want = delta_g(2, d, a).value()
+        want = float(delta_g(2, d, a))
         if (d, a) in TWO_ZERO_CLASSES:
             assert want == 0.0 and share == 0.0, (d, a, share)
             continue
@@ -290,7 +290,6 @@ def test_delta_g_crt_halving_500():
         if math.gcd(a, d) != 1:
             continue
         d1 = 4 * d if d % 2 else 2 * d
-        lifts = [x for x in range(1, 4 * d + 1) if x % d == a % d or (d == 1)]
         a1 = next(x for x in range(a, 4 * d + a + 1) if x % 4 == 1 and x % d == a % d)
         a3 = next(x for x in range(a, 4 * d + a + 1) if x % 4 == 3 and x % d == a % d)
         left = delta_g(ell, d, a).scale(2)
@@ -334,7 +333,7 @@ def _case_bound(ell, d, a):
 def test_delta_g_case_bounds_and_zero_set_500():
     for ell, d, a in random_triples(500, seed=23, dmax=900):
         value = delta_g(ell, d, a)
-        numeric = value.value()
+        numeric = float(value)
         assert 0.0 <= numeric <= 1.0
         bound = _case_bound(ell, d, a)
         zero_case = (

@@ -48,6 +48,49 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(node: ast.AST):
+    """The nodes of one function body, not descending into nested scopes."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_nodes(child)
+
+
+def _unused_locals(path: Path) -> list[str]:
+    """Names a function binds by a plain `name = ...` and never reads, nested scopes included.
+
+    `x += ...` counts as a read, and names that start with "_" are skipped.
+    """
+    unused = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {
+            target.id: node.lineno
+            for node in _own_nodes(func)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and not target.id.startswith("_")
+        }
+        read = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+        unused += [f"{path.name}:{line} {func.name}: {name}" for name, line in bound.items()
+                   if name not in read]
+    return unused
+
+
+def test_no_unused_locals():
+    unused = [entry for path in SOURCES for entry in _unused_locals(path)]
+    assert not unused, unused
+
+
 def test_import_starts_no_process_machinery():
     # the B-stage imports its process pool when it needs one; at import time it
     # would add ~12 ms to every command, warm or not

@@ -86,6 +86,21 @@ def test_bad_survey_fails_before_any_prime(tmp_cache, monkeypatch, options):
     assert not tmp_cache.exists()
 
 
+def test_empty_progression_fails_before_the_b_stage(tmp_cache, monkeypatch, capsys):
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
+    monkeypatch.setattr(survey_mod, "prime_orders", _no_recompute)
+    cfg = small_config(tmp_cache, x=100, progressions=((1000, 1), (4, 1), (1000, 9)))
+    with pytest.raises(ValueError, match=r"^no prime <= 100 is 1 mod 1000, 9 mod 1000$"):
+        run_survey(cfg)
+    assert not tmp_cache.exists()
+    argv = ["survey", "--ell", "3", "--x", "100", "--progression", "1000,1",
+            "--cache-dir", str(tmp_cache), "--quiet"]
+    assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: no prime <= 100 is 1 mod 1000\n"
+    assert not tmp_cache.exists()
+
+
 # ---------------------------------------------------------------- counting
 
 
@@ -99,8 +114,7 @@ def test_survey_counts_and_convention(tmp_cache):
     for p in primes:
         if p == 2:
             continue
-        b = bool(b_irregular_pairs(p)) if p >= 5 else False
-        if classify_prime(3, p, b).g_irregular:
+        if classify_prime(3, p).g_irregular:
             flagged.append(p)
     assert row.count_irregular == len(flagged)
     assert row.experimental == round(len(flagged) / 168, 6)
@@ -334,6 +348,7 @@ def test_cache_env_override(tmp_path, monkeypatch):
     # an explicit directory wins; the variable applies only when none is given
     assert resolve_cache_dir(tmp_path / "other") == tmp_path / "other"
     assert resolve_cache_dir(None) == tmp_path / "env_cache"
+    assert resolve_cache_dir("") == tmp_path / "env_cache"  # an empty --cache-dir is not "."
     run_survey(SurveyConfig(ell=3, x=500, cache_dir=tmp_path / "other", quiet=True))
     assert (tmp_path / "other" / "birregular.csv").exists()
     assert not (tmp_path / "env_cache").exists()
@@ -341,6 +356,7 @@ def test_cache_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "env_cache" / "birregular.csv").exists()
     monkeypatch.delenv("GENOCCHI_CACHE_DIR")
     assert resolve_cache_dir(None) == survey_mod.DEFAULT_CACHE_DIR
+    assert resolve_cache_dir("") == survey_mod.DEFAULT_CACHE_DIR
 
 
 # ---------------------------------------------------------------- emission
@@ -445,6 +461,8 @@ def test_cli_classify_checks_ell_before_the_kernel(capsys, monkeypatch):
     assert cli_main(["classify", "--ell", "9", "--p", "249989"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "must be prime" in captured.err
+    with pytest.raises(ValueError, match="must be prime"):
+        classify_prime(9, 249989)
 
 
 def test_cli_classify_rejects_a_composite_p(capsys):
