@@ -38,6 +38,7 @@ from .modarith import primitive_root
 
 __all__ = [
     "MAX_KERNEL_PRIME",
+    "active_backend",
     "half_coefficients",
     "power_sums",
 ]
@@ -47,8 +48,15 @@ MAX_KERNEL_PRIME = 250_000
 
 _LIMB_BITS = 9
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
+#: the kernel's name, as cache headers and benchmark runs record it
+_KERNEL_NAME = f"chirp, two {_LIMB_BITS}-bit limbs"
 #: largest accepted distance from an integer before rounding a transform value
 _MAX_ROUNDING_ERROR = 0.25
+
+
+def active_backend() -> str:
+    """Name of the power-sum kernel: the one implementation, and its limb split."""
+    return _KERNEL_NAME
 
 
 def half_coefficients(p: int, mult: int) -> np.ndarray:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .classify import b_irregular_pairs, irregular_flags, prime_orders
 from .density import conjectured_ratio, lower_bound_ratio
-from .kernels import MAX_KERNEL_PRIME
+from .kernels import MAX_KERNEL_PRIME, active_backend
 from .modarith import sieve_primes
 
 __all__ = [
@@ -67,7 +67,7 @@ __all__ = [
 CACHE_ENV = "GENOCCHI_CACHE_DIR"
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "genocchi"
 #: first line of every cache file; see ClassificationCache for when to bump it
-CACHE_HEADER = "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
+CACHE_HEADER = f"# genocchi cache v2 (kernel: {active_backend()})"
 
 CSV_HEADER = (
     "ell,d,a,x,count_irregular,count_primes,experimental,conjectured,lower_bound,variant"

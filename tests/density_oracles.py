@@ -15,9 +15,17 @@ Each one reaches a value of the package by another route:
                      the all-primes densities as closed forms of ell alone
   artin_euler_product
                      the Euler product for the Artin constant
+  delta_g_case_bound the strict upper bound on delta_g in each case of the
+                     (ell | d, 4 | d) split, or None where it is exactly 0
+and the instance stream the property checks draw from:
+  random_triples     a seeded stream of valid (ell, d, a)
+`random_triples` and `delta_g_case_bound` (once `_case_bound`) moved here from
+test_density, so that no test module imports another.
 The symbols (a/ell) and (ell/a) are computed here with modarith.jacobi.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +38,37 @@ from genocchi.density import (
     r_factor,
 )
 from genocchi.modarith import jacobi, sieve_primes
+
+ODD_ELLS = (3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def random_triples(count, seed, ells=ODD_ELLS, dmax=600):
+    """Deterministic stream of valid (ell, d, a) with gcd(a, d) = 1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ell = rng.choice(ells)
+        d = rng.randint(1, dmax)
+        a = rng.randint(1, d)
+        if math.gcd(a, d) == 1:
+            out.append((ell, d, a))
+    return out
+
+
+def delta_g_case_bound(ell: int, d: int, a: int) -> Fraction | None:
+    """Strict upper bound on delta_g(ell, d, a) in its case, None if it is exactly 0."""
+    ell_div = d % ell == 0
+    four_div = d % 4 == 0
+    s = jacobi(a % ell, ell) if ell_div else None
+    if (four_div and a % 4 == 3) or (ell_div and s == -1):
+        return Fraction(1)
+    if not ell_div and not four_div:
+        return Fraction(3 - Fraction(2, ell * (ell - 1)), 4)
+    if not ell_div:
+        return Fraction(1, 2)
+    if not four_div:
+        return Fraction(1, 3) if ell == 3 else Fraction(1, 2)
+    return None  # remaining case: density is exactly zero
 
 
 def artin_euler_product(limit: int = 10**7) -> float:

@@ -14,8 +14,17 @@ Sequences (checks of `exactseq.bernoulli`):
   class_number_neg_p        h(-p) by counting reduced forms, against
                             -2 * B_((p+1)/2) mod p
   valuation                 the exponent of a prime in a rational
+  series_inverse            exact power-series reciprocal: the generating
+                            function side of `h_value`
+  tangent_series            tan t = sin t / cos t by exact series division:
+                            the series side of `tangent_number`
 
 Classification (checks of `classify`):
+  exact_b_irregular_indices the indices 2n <= p-3 with p | numerator of B_2n,
+                            from exact Bernoulli numbers: checks
+                            `b_irregular_pairs`
+  exact_irregular_flags     G, H- and H+ irregularity by the exact-Bernoulli
+                            divisibility scans: checks `irregular_flags`
   order_criterion_oracle    brute-force scans of ell**n +- 1 mod p, one per
                             name in ORDER_CRITERIA: the divisibility sides of
                             the order thresholds in `irregular_flags`
@@ -36,6 +45,11 @@ Kernel and emission:
                             for bit
   parse_rows_csv            `emit_table` CSV read back into SurveyRows, for
                             the round-trip tests
+
+Moved here from the test modules so that no test module imports another:
+`series_inverse` and `tangent_series` (from test_exactseq) and
+`exact_b_irregular_indices` (from test_classify). `exact_irregular_flags`
+replaces three inline copies of the same scan.
 
 Index conventions follow the sequences' natural subscripts: `h_value` and
 `kummer_check` take the actual even subscript; `voronoi_h`, `valuation_h` and
@@ -80,6 +94,37 @@ def h_value(ell: int, n: int, variant: str = "full") -> Fraction:
     else:
         raise ValueError(f"unknown variant {variant!r}; expected one of {H_VARIANTS}")
     return factor * bernoulli(n) / n
+
+
+def series_inverse(den: list[Fraction], order: int) -> list[Fraction]:
+    """Coefficients of 1/den(t) to the given order; den[0] must be 1."""
+    assert den[0] == 1
+    inv = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        inv[n] = -sum(den[k] * inv[n - k] for k in range(1, min(n, len(den) - 1) + 1))
+    return inv
+
+
+def tangent_series(order: int) -> tuple[list[Fraction], list[int]]:
+    """tan t = sin t / cos t by exact power-series division.
+
+    Returns the coefficients of t**0 .. t**(2*order) and the factorials
+    0! .. (2*order + 1)!.
+    """
+    fact = [1]
+    for k in range(1, 2 * order + 2):
+        fact.append(fact[-1] * k)
+    sin = [Fraction(0)] * (2 * order + 1)
+    cos = [Fraction(0)] * (2 * order + 1)
+    for k in range(order + 1):
+        if 2 * k + 1 <= 2 * order:
+            sin[2 * k + 1] = Fraction((-1) ** k, fact[2 * k + 1])
+        cos[2 * k] = Fraction((-1) ** k, fact[2 * k])
+    inv_cos = series_inverse(cos, 2 * order)
+    tan = [
+        sum(sin[k] * inv_cos[n - k] for k in range(n + 1)) for n in range(2 * order + 1)
+    ]
+    return tan, fact
 
 
 def tangent_number(n: int) -> int:
@@ -153,6 +198,37 @@ def valuation(q: Fraction, p: int) -> int:
 
 
 # ---------------------------------------------------------------- classification
+
+
+def exact_b_irregular_indices(p: int) -> list[int]:
+    """Indices 2n in [2, p-3] with p dividing the numerator of B_2n."""
+    return [n2 for n2 in range(2, p - 2, 2) if bernoulli(n2).numerator % p == 0]
+
+
+def exact_irregular_flags(ell: int, p: int) -> tuple[bool, bool, bool]:
+    """(G, H-, H+) irregularity of the odd prime p for base ell, by exact scans.
+
+    Over the even indices 2n in [2, p-3], p is
+      G-irregular   if p | B_2n or ell**2n = 1 mod p for some 2n,
+      H--irregular  if p | B_2n or ell**n = 1 mod p for some 2n,
+      H+-irregular  if p | B_2n or ell**n = -1 mod p for some 2n,
+    with p | B_2n read off the exact numerator.
+
+    Edge rules:
+      p = 3      regular for every base, p = ell = 3 included: all three
+                 flags are False (there is no index in [2, p-3] to scan).
+      p = ell    for ell > 3, G-irregular, since ell divides every
+                 ell-Genocchi number; the H flags follow B alone, because
+                 ell**n = 0 mod p is never +-1.
+    """
+    if p == 3:
+        return False, False, False
+    b = bool(exact_b_irregular_indices(p))
+    halves = range(1, (p - 1) // 2)  # n with 2n in [2, p-3]
+    g = b or p == ell or any(pow(ell, 2 * n, p) == 1 for n in halves)
+    h_minus = b or any(pow(ell, n, p) == 1 for n in halves)
+    h_plus = b or any(pow(ell, n, p) == p - 1 for n in halves)
+    return g, h_minus, h_plus
 
 
 #: criterion name -> (offset in ell**n + offset, scan range flavor)

@@ -48,6 +48,22 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def test_no_test_module_imports_another():
+    # a helper two test modules share belongs in an oracle module, not in either test file
+    offenders = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[-1].startswith("test_")]
+    assert not offenders, offenders
+
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 

@@ -14,8 +14,7 @@ from genocchi import classify as classify_mod
 from genocchi import survey as survey_mod
 from genocchi.classify import b_irregular_pairs, classify_prime
 from genocchi.cli import cli_main
-from genocchi.exactseq import bernoulli
-from genocchi.kernels import MAX_KERNEL_PRIME
+from genocchi.kernels import MAX_KERNEL_PRIME, active_backend
 from genocchi.modarith import sieve_primes
 from genocchi.survey import (
     CACHE_HEADER,
@@ -29,7 +28,7 @@ from genocchi.survey import (
     run_table,
 )
 
-from oracles import parse_rows_csv
+from oracles import exact_irregular_flags, parse_rows_csv
 
 
 def small_config(tmp_cache, **kw):
@@ -155,18 +154,8 @@ def test_survey_flags_match_exact_divisibility(tmp_cache, bernoulli_800):
     for ell in (3, 5):
         cfg = small_config(tmp_cache, ell=ell, x=1000, variants=("G", "Hminus", "Hplus"))
         counts = {r.variant: r.count_irregular for r in run_survey(cfg)}
-        scans = {"G": 0, "Hminus": 0, "Hplus": 0}
-        for p in (int(q) for q in sieve_primes(1000)[1:]):
-            g = hm = hp = False
-            if p != 3:
-                for n2 in range(2, p - 2, 2):
-                    bdiv = bernoulli(n2).numerator % p == 0
-                    g = g or p == ell or bdiv or pow(ell, n2, p) == 1
-                    hm = hm or bdiv or pow(ell, n2 // 2, p) == 1
-                    hp = hp or bdiv or pow(ell, n2 // 2, p) == p - 1
-            scans["G"] += g
-            scans["Hminus"] += hm
-            scans["Hplus"] += hp
+        flags = [exact_irregular_flags(ell, int(p)) for p in sieve_primes(1000)[1:]]
+        scans = dict(zip(("G", "Hminus", "Hplus"), map(sum, zip(*flags))))
         assert counts == scans, ell
 
 
@@ -210,6 +199,12 @@ def test_cache_write_is_atomic(tmp_cache, monkeypatch):
     # the old files are untouched and no temp file is left behind
     assert {path.name: path.read_bytes() for path in tmp_cache.iterdir()} == before
     assert cache.load_b_pairs() and cache.load_orders(3)
+
+
+def test_cache_header_names_the_kernel():
+    # caches written under this header must keep loading: change it only with the rows
+    assert CACHE_HEADER == "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
+    assert active_backend() == "chirp, two 9-bit limbs"
 
 
 def test_cache_corruption_reported(tmp_cache):
