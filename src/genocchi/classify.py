@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import half_coefficients, power_sums
+from .kernels import power_sums
 from .modarith import is_prime, mult_order, primitive_root, sieve_primes
 
 __all__ = [
@@ -61,8 +61,7 @@ def b_irregular_pairs(p: int) -> tuple[int, ...]:
     """
     if p < 5:
         raise ValueError(f"p must be a prime >= 5, got {p}")
-    g = primitive_root(p)  # raises for a composite p
-    sums = power_sums(p, half_coefficients(p, g))
+    sums = power_sums(p, primitive_root(p))  # raises for a composite p
     return tuple(2 * (int(i) + 1) for i in np.flatnonzero(sums == 0))
 
 

@@ -76,10 +76,6 @@ class LinearInA:
     def __add__(self, other: "LinearInA") -> "LinearInA":
         return LinearInA(self.r0 + other.r0, self.r1 + other.r1)
 
-    def scale(self, c) -> "LinearInA":
-        c = Fraction(c)
-        return LinearInA(self.r0 * c, self.r1 * c)
-
     def __float__(self) -> float:
         return float(self.r0) + float(self.r1) * ARTIN
 

@@ -1,11 +1,17 @@
 """Batched modular power sums: one exact O(p log p) chirp-convolution kernel.
 
-The workhorse is `power_sums`: for an odd prime p and per-residue coefficients
-c_1..c_(p-1)/2 it returns
+The workhorse is `power_sums(p, mult)`: for an odd prime p and a Voronoi
+multiplier mult prime to p it returns
 
-    S(2n) = sum_j c_j * j**(2n-1)  mod p      for 2n = 2, 4, ..., p-3.
+    S(2n) = sum_{j=1}^{p-1} j**(2n-1) * floor(j*mult/p)  mod p
+                                                  for 2n = 2, 4, ..., p-3.
 
-Write h = (p-1)/2 and fix a primitive root g. Every j in [1, h] is e_i * g**i
+Pairing j with p - j folds it onto the half range j <= h = (p-1)/2: the
+exponent is odd and floor((p-j)*mult/p) = mult - 1 - floor(j*mult/p), so
+
+    S(2n) = sum_{j<=h} c_j * j**(2n-1),   c_j = 2*floor(j*mult/p) - mult + 1.
+
+Fix a primitive root g. Every j in [1, h] is e_i * g**i
 for exactly one i in [0, h) and one sign e_i = +-1, because g**(i+h) = -g**i.
 The exponent 2n-1 is odd, so with a_i = e_i * c_j the sums become
 
@@ -27,7 +33,7 @@ below 2**36, far inside float64's 53-bit integer range. The kernel checks
 that each transformed value lies within 1/4 of an integer before rounding and
 raises ArithmeticError otherwise, so it never returns a wrong residue
 silently. The tests compare it bit for bit with a direct O(p**2) evaluation,
-`power_sums_numpy` in tests/oracles.py.
+`power_sums_direct` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .modarith import primitive_root
 __all__ = [
     "MAX_KERNEL_PRIME",
     "active_backend",
-    "half_coefficients",
     "power_sums",
 ]
 
@@ -59,32 +64,27 @@ def active_backend() -> str:
     return _KERNEL_NAME
 
 
-def half_coefficients(p: int, mult: int) -> np.ndarray:
-    """Folded coefficient vector for the power sums of an odd prime p.
-
-    Pairing j with p - j turns sum_{j<p} j**(2n-1) * floor(j*mult/p) into a
-    half-range sum with coefficients (2*floor(j*mult/p) - mult + 1) mod p.
-    """
+def power_sums(p: int, mult: int) -> np.ndarray:
+    """The Voronoi sums S(2n) mod p for 2n = 2 .. p-3, by one exact chirp convolution."""
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
-    j = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    floors = (j * mult) // p
-    return ((2 * floors - mult + 1) % p).astype(np.int64)
-
-
-def power_sums(p: int, coeffs: np.ndarray) -> np.ndarray:
-    """S(2n) mod p for 2n = 2 .. p-3, by one exact chirp convolution."""
-    _check_kernel_args(p, coeffs)
+    if p > MAX_KERNEL_PRIME:
+        raise ValueError(f"p={p} exceeds the kernel exactness bound {MAX_KERNEL_PRIME}")
     half = (p - 1) // 2
     if half < 2:
         return np.empty(0, dtype=np.int64)
     order = p - 1
     pw = _powers(primitive_root(p), order, p)  # pw[e] = g**e; raises for composite p
-    j = pw[:half]
-    flip = j > half
-    u = np.asarray(coeffs, dtype=np.int64)[np.where(flip, p - j, j) - 1] % p
+    u = pw[:half].copy()
+    flip = u > half
+    np.subtract(p, u, out=u, where=flip)  # j = |g**i| in [1, half]
+    u *= mult
+    u //= p
+    u *= 2
+    u += 1 - mult  # c_j
+    u %= p
     np.negative(u, out=u, where=flip)  # a_i = e_i * c_j, reduced below
-    del j, flip
+    del flip
     # pw[-e] = g**(order - e) = g**-e for 0 <= e < order
     u *= pw[-_exponents(0, half, 0, order)]
     u %= p
@@ -171,11 +171,3 @@ def _fast_length(n: int) -> int:
         f5 *= 5
     return best
 
-
-def _check_kernel_args(p: int, coeffs: np.ndarray) -> None:
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if p > MAX_KERNEL_PRIME:
-        raise ValueError(f"p={p} exceeds the kernel exactness bound {MAX_KERNEL_PRIME}")
-    if coeffs.shape[0] != (p - 1) // 2:
-        raise ValueError(f"expected {(p - 1) // 2} coefficients, got {coeffs.shape[0]}")

@@ -21,7 +21,9 @@ and the instance stream the property checks draw from:
   random_triples     a seeded stream of valid (ell, d, a)
 `random_triples` and `delta_g_case_bound` (once `_case_bound`) moved here from
 test_density, so that no test module imports another.
-The symbols (a/ell) and (ell/a) are computed here with modarith.jacobi.
+The symbols (a/ell) and (ell/a) are computed here with modarith.jacobi, and
+the arguments are checked here too: no oracle borrows a private helper of
+genocchi.density.
 """
 
 import math
@@ -30,14 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from genocchi.density import (
-    LinearInA,
-    _canonical,
-    _require_odd_prime_in_progression,
-    _require_prime,
-    r_factor,
-)
-from genocchi.modarith import jacobi, sieve_primes
+from genocchi.density import LinearInA, r_factor
+from genocchi.modarith import is_prime, jacobi, sieve_primes
 
 ODD_ELLS = (3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -81,6 +77,24 @@ def artin_euler_product(limit: int = 10**7) -> float:
     return float(np.exp(np.log1p(-1.0 / (p * (p - 1.0))).sum()))
 
 
+def _require_prime(ell: int) -> None:
+    if not is_prime(ell):
+        raise ValueError(f"ell must be a prime, got {ell}")
+
+
+def _canonical(ell: int, d: int, a: int, odd_base: bool = False) -> tuple[int, int, int]:
+    """(ell, d, a mod d) for a prime ell and a class a prime to d >= 1; a = 1 when d = 1.
+
+    With odd_base, ell = 2 is accepted over all primes (d = 1) only.
+    """
+    _require_prime(ell)
+    if d < 1 or math.gcd(a, d) != 1:
+        raise ValueError(f"need d >= 1 and a prime to d, got d={d}, a={a}")
+    if odd_base and ell == 2 and d != 1:
+        raise ValueError("closed form in a progression only covers odd prime bases")
+    return ell, d, a % d if d > 1 else 1
+
+
 def _sym_a_over_ell(a: int, ell: int) -> int:
     return jacobi(a % ell, ell)
 
@@ -106,8 +120,7 @@ def _sym_minus_one(a: int) -> int:
 
 def alpha_primroot_full(ell: int, d: int, a: int) -> LinearInA:
     """Relative density of primes p = a mod d with ell a primitive root mod p."""
-    ell, d, a = _canonical(ell, d, a)
-    _require_odd_prime_in_progression(ell, d)
+    ell, d, a = _canonical(ell, d, a, odd_base=True)
     L = ell * ell - ell - 1
     ell_div = d % ell == 0
     four_div = d % 4 == 0
@@ -159,8 +172,7 @@ def _c_minus_full(ell: int, d: int, a: int) -> Fraction:
 
 def alpha_minus_full(ell: int, d: int, a: int) -> LinearInA:
     """Relative density of primes p = a mod d with ord_p(ell) = (p-1)/2."""
-    ell, d, a = _canonical(ell, d, a)
-    _require_odd_prime_in_progression(ell, d)
+    ell, d, a = _canonical(ell, d, a, odd_base=True)
     return LinearInA(Fraction(0), _c_minus_full(ell, d, a) * r_factor(d, a))
 
 

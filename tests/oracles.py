@@ -40,9 +40,9 @@ Classification (checks of `classify`):
                             ell = 2, 3
 
 Kernel and emission:
-  power_sums_numpy          the folded power sums evaluated directly in
-                            O(p**2): `kernels.power_sums` must equal it bit
-                            for bit
+  power_sums_direct         the Voronoi power sums evaluated directly in
+                            O(p**2), folded by pairing j with p - j:
+                            `kernels.power_sums` must equal it bit for bit
   parse_rows_csv            `emit_table` CSV read back into SurveyRows, for
                             the round-trip tests
 
@@ -65,7 +65,6 @@ import numpy as np
 
 from genocchi.classify import PrimeClassification
 from genocchi.exactseq import ConsistencyError, bernoulli
-from genocchi.kernels import _check_kernel_args
 from genocchi.modarith import factorize, is_prime, jacobi
 from genocchi.survey import SurveyRow
 
@@ -423,16 +422,22 @@ def emma_lehmer_check(ell: int, p: int, n: int) -> bool:
 # ---------------------------------------------------------------- kernel and emission
 
 
-def power_sums_numpy(p: int, coeffs: np.ndarray) -> np.ndarray:
-    """Direct O(p**2) power sums, exact in uint64 (the oracle for `power_sums`)."""
-    _check_kernel_args(p, coeffs)
-    m = (p - 3) // 2
-    out = np.empty(m, dtype=np.int64)
-    j = np.arange(1, (p + 1) // 2, dtype=np.uint64)
+def power_sums_direct(p: int, mult: int) -> np.ndarray:
+    """sum_{j<p} j**(2n-1) * floor(j*mult/p) mod p for 2n = 2 .. p-3, in O(p**2).
+
+    The oracle for `kernels.power_sums`. Terms j and p - j share one power up
+    to sign, so the half-range coefficient of j is the difference of their
+    floors; the sums are then exact in uint64.
+    """
+    if p % 2 == 0 or not 3 <= p < 2**18:
+        raise ValueError(f"p must be odd and in [3, 2**18), got {p}")
+    j = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    c = (((j * mult) // p - ((p - j) * mult) // p) % p).astype(np.uint64)
+    j = j.astype(np.uint64)
     pw = j.copy()
     sq = (j * j) % p
-    c = coeffs.astype(np.uint64)
-    for n in range(m):
+    out = np.empty((p - 3) // 2, dtype=np.int64)
+    for n in range(len(out)):
         # products < 2**36 and the half-range has < 2**17 terms: no overflow
         out[n] = int((c * pw).sum() % p)
         pw = (pw * sq) % p

@@ -3,8 +3,8 @@
 Run with `pytest -v -s tests/test_acceptance.py`. Each check has one home: a
 check that a criterion makes is made here only, and the unit files hold only
 checks that no criterion makes (domain errors, properties outside the scopes
-below, and each function's worked examples, a few of which a sweep here also
-reaches). The criteria and their scopes:
+below, and worked examples whose assertions no criterion makes). The criteria
+and their scopes:
 
   1  the 50 theoretical values of Tables 1-3 from `conjectured_ratio`, each
      within 5e-6 of the published digits.
@@ -57,7 +57,7 @@ from genocchi.density import (
     rho_plus_one,
 )
 from genocchi.exactseq import bernoulli
-from genocchi.kernels import half_coefficients, power_sums
+from genocchi.kernels import power_sums
 from genocchi.modarith import jacobi, mult_order, sieve_primes
 
 from density_oracles import (
@@ -292,8 +292,7 @@ def test_criterion_6_oracle_equivalence(bernoulli_800):
         for ell in (2, 3, 5):
             if p == ell:
                 continue
-            coeffs = half_coefficients(p, ell)
-            sums = power_sums(p, coeffs) if p >= 5 else []
+            sums = power_sums(p, ell) if p >= 5 else []
             for n in range(1, (p - 1) // 2):
                 if (2 * n) % (p - 1) == 0:
                     continue
@@ -422,7 +421,8 @@ def test_criterion_8_density_property_suite():
         d1 = 4 * d if d % 2 else 2 * d
         a1 = next(x for x in range(a, a + 4 * d + 1) if x % 4 == 1 and x % d == a % d)
         a3 = next(x for x in range(a, a + 4 * d + 1) if x % 4 == 3 and x % d == a % d)
-        assert delta_g(ell, d, a).scale(2) == delta_g(ell, d1, a1) + delta_g(ell, d1, a3)
+        v = delta_g(ell, d, a)
+        assert v + v == delta_g(ell, d1, a1) + delta_g(ell, d1, a3)
         checked += 1
 
     # component sum vs direct table, and the two delta_g presentations

@@ -108,15 +108,6 @@ def test_h_regular_pair_rule():
 # ---------------------------------------------------------------- order criteria
 
 
-def test_order_criterion_examples():
-    # 7 | 3^3 + 1 = 28, so the any-range scan hits for base 3
-    assert order_criterion_oracle(3, 7, "plus_any")
-    # base 2 mod 7 has odd order 3: no power lands on -1
-    assert not order_criterion_oracle(2, 7, "plus_any")
-    # ord_7(2) = 3 equals (p-1)/2, so the short minus scan misses
-    assert not order_criterion_oracle(2, 7, "minus_short")
-
-
 def test_order_criterion_domain():
     with pytest.raises(ValueError):
         order_criterion_oracle(7, 7, "plus_any")
@@ -215,12 +206,6 @@ def test_voronoi_h_domain():
 # ---------------------------------------------------------------- Kummer congruence
 
 
-def test_kummer_examples():
-    assert kummer_check(5, 2, 6)
-    assert kummer_check(7, 2, 8)
-    assert kummer_check(11, 4, 14)
-
-
 def test_kummer_domain():
     with pytest.raises(ValueError):
         kummer_check(5, 2, 4)  # 2 != 4 mod 4
@@ -254,11 +239,6 @@ def test_wieferich_domain():
 
 
 # ---------------------------------------------------------------- Lehmer congruences
-
-
-def test_emma_lehmer_examples():
-    assert emma_lehmer_check(2, 7, 2)
-    assert emma_lehmer_check(3, 7, 2)
 
 
 def test_emma_lehmer_domain():

@@ -11,7 +11,6 @@ from oracles import (
     h_value,
     tangent_number,
     valuation,
-    von_staudt_clausen_check,
 )
 
 # ---------------------------------------------------------------- oracles
@@ -126,14 +125,6 @@ def test_h_minus_plus_product_identity():
 def test_tangent_numbers_positive_integers():
     for n in range(1, 30):
         assert tangent_number(n) > 0
-
-
-# ---------------------------------------------------------------- von Staudt-Clausen
-
-
-def test_von_staudt_clausen_explicit():
-    assert von_staudt_clausen_check(2)  # 1/6 + 1/2 + 1/3 = 1
-    assert von_staudt_clausen_check(12)
 
 
 # ---------------------------------------------------------------- class numbers

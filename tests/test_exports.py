@@ -64,6 +64,19 @@ def test_no_test_module_imports_another():
     assert not offenders, offenders
 
 
+def test_oracles_import_no_private_name():
+    # an oracle that borrows a helper of the code it checks is not independent of it
+    offenders = []
+    for name in ("oracles.py", "density_oracles.py"):
+        path = Path(__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom) or not (node.module or "").startswith("genocchi"):
+                continue
+            offenders += [f"{name}:{node.lineno} {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert not offenders, offenders
+
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
