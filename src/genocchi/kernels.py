@@ -25,15 +25,35 @@ i*(2n-1) = (i+n)(i+n-1) - i**2 - n(n-1) turns it into one correlation:
 the route of Buhler, Crandall, Ernvall and Metsankyla (Math. Comp. 1993) and
 Buhler and Harvey (Math. Comp. 2011) to the irregular primes.
 
-Exactness: the correlation is computed with numpy's float64 `rfft`/`irfft`.
-Every residue is below p <= MAX_KERNEL_PRIME < 2**18, so it splits into two
-9-bit limbs, and each of the three limb products (lo*lo, lo*hi + hi*lo,
-hi*hi) sums fewer than 2**17 terms below 2**19 each: every exact value stays
-below 2**36, far inside float64's 53-bit integer range. The kernel checks
-that each transformed value lies within 1/4 of an integer before rounding and
-raises ArithmeticError otherwise, so it never returns a wrong residue
-silently. The tests compare it bit for bit with a direct O(p**2) evaluation,
-`power_sums_direct` in tests/oracles.py.
+Exactness: the correlation is computed with numpy's float64 `rfft`/`irfft`
+on residues below p, by one of two rules chosen from p alone:
+
+- p < _ONE_LIMB_PRIME = 2**14: one unsplit product, irfft(rfft(x) * rfft(y));
+- 2**14 <= p <= MAX_KERNEL_PRIME < 2**18: each residue splits into two 9-bit
+  limbs, and the three limb products (lo*lo, lo*hi + hi*lo, hi*hi) are rounded
+  one by one.
+
+Percival (Rapid multiplication modulo the sum and difference of highly
+composite numbers, Math. Comp. 72, 2003) bounds the error of a float64 FFT
+product of length 2**n by
+
+    ||x|| * ||y|| * ((1+eps)**(3n) * (1+eps*sqrt(5))**(3n+1) * (1+beta)**(3n) - 1)
+
+with eps = 2**-53 and twiddle-factor error beta = eps/sqrt(2). With
+||x|| <= sqrt(h)*(p-1), ||y|| <= sqrt(p-2)*(p-1) and n = ceil(log2 N) for
+the transform length N, the one-limb bound is 0.058 at p = 16381, the largest
+prime below 2**14 (and 0.50 at p = 32749, so the limit cannot double). With
+limbs of at most 511, the two-limb bound at p = 249989 is 0.0021 for the mid
+product (a sum of two products) and at most 0.0011 for the others. All stay
+under the kernel's 1/4 rounding guard (below 1/2 would already round right);
+test_limb_split_within_written_bound in tests/test_kernels.py evaluates them.
+The theorem covers radix-2 complex transforms, and pocketfft's real
+mixed-radix transforms of length 2**a * 3**b * 5**c lie outside it, so the
+kernel also checks that each transformed value lies within 1/4 of an integer
+before rounding, and raises ArithmeticError otherwise: it never returns a
+wrong residue silently. Both rules give bit-identical residues on every prime
+below 2**14. The tests compare the kernel bit for bit with a direct O(p**2)
+evaluation, `power_sums_direct` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -50,17 +70,19 @@ __all__ = [
 
 #: largest supported prime: residues must split into two 9-bit limbs
 MAX_KERNEL_PRIME = 250_000
+#: below this prime one unsplit float64 product is exact (see the module docstring)
+_ONE_LIMB_PRIME = 1 << 14
 
 _LIMB_BITS = 9
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-#: the kernel's name, as cache headers and benchmark runs record it
-_KERNEL_NAME = f"chirp, two {_LIMB_BITS}-bit limbs"
+#: the kernel's name and limb rule, as benchmark runs record it
+_KERNEL_NAME = f"chirp, one limb below 2^14, two {_LIMB_BITS}-bit limbs from 2^14"
 #: largest accepted distance from an integer before rounding a transform value
 _MAX_ROUNDING_ERROR = 0.25
 
 
 def active_backend() -> str:
-    """Name of the power-sum kernel: the one implementation, and its limb split."""
+    """Name of the power-sum kernel: the one implementation, and its limb rule."""
     return _KERNEL_NAME
 
 
@@ -70,6 +92,8 @@ def power_sums(p: int, mult: int) -> np.ndarray:
         raise ValueError(f"p must be an odd prime, got {p}")
     if p > MAX_KERNEL_PRIME:
         raise ValueError(f"p={p} exceeds the kernel exactness bound {MAX_KERNEL_PRIME}")
+    if mult % p == 0:
+        raise ValueError(f"mult must be prime to p, got mult={mult} for p={p}")
     half = (p - 1) // 2
     if half < 2:
         return np.empty(0, dtype=np.int64)
@@ -86,19 +110,20 @@ def power_sums(p: int, mult: int) -> np.ndarray:
     np.negative(u, out=u, where=flip)  # a_i = e_i * c_j, reduced below
     del flip
     # pw[-e] = g**(order - e) = g**-e for 0 <= e < order
-    u *= pw[-_exponents(0, half, 0, order)]
+    u *= pw[-_exponents(half, 0, order)]
     u %= p
-    v = pw[_exponents(0, p - 2, 1, order)]
+    chirp = _exponents(p - 2, 1, order)  # t(t-1): for v_t, and for n(n-1) at n < half
+    v = pw[chirp]
     # w_n = sum_i u_i v_(i+n) sits at index n + half - 1 of conv(u reversed, v)
     w = _convolve_mod(u[::-1], v, p, half, 2 * half - 1)
-    w *= pw[-_exponents(1, half, 1, order)]
+    w *= pw[-chirp[1:half]]
     w %= p
     return w
 
 
-def _exponents(first: int, stop: int, shift: int, order: int) -> np.ndarray:
-    """t * (t - shift) mod order for t = first .. stop-1."""
-    e = np.arange(first, stop, dtype=np.int64)
+def _exponents(stop: int, shift: int, order: int) -> np.ndarray:
+    """t * (t - shift) mod order for t = 0 .. stop-1."""
+    e = np.arange(stop, dtype=np.int64)
     e *= e - shift
     e %= order
     return e
@@ -121,8 +146,9 @@ def _convolve_mod(x: np.ndarray, y: np.ndarray, p: int, start: int, stop: int) -
 
     The cyclic length only has to hold y: every wanted index m >= len(x) - 1
     sums x[t] * y[m - t] with 0 <= m - t < len(y), so nothing wraps onto it.
-    Operands are residues mod p, split into 9-bit limbs; at most four spectra
-    are alive at a time.
+    Operands are residues mod p. Below _ONE_LIMB_PRIME they are multiplied
+    whole (three transforms); from there on they split into 9-bit limbs
+    (seven transforms, at most four spectra alive at a time).
     """
     length = _fast_length(max(len(y), stop))
     rfft, irfft = np.fft.rfft, np.fft.irfft
@@ -138,6 +164,10 @@ def _convolve_mod(x: np.ndarray, y: np.ndarray, p: int, start: int, stop: int) -
             )
         return rounded.astype(np.int64) % p
 
+    if p < _ONE_LIMB_PRIME:
+        spectrum = rfft(x, length)
+        spectrum *= rfft(y, length)
+        return exact(spectrum)
     x_lo = rfft(x & _LIMB_MASK, length)
     y_lo = rfft(y & _LIMB_MASK, length)
     lo = exact(x_lo * y_lo)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .classify import b_irregular_pairs, irregular_flags, prime_orders
 from .density import conjectured_ratio, lower_bound_ratio
-from .kernels import MAX_KERNEL_PRIME, active_backend
+from .kernels import MAX_KERNEL_PRIME
 from .modarith import sieve_primes
 
 __all__ = [
@@ -66,8 +66,10 @@ __all__ = [
 
 CACHE_ENV = "GENOCCHI_CACHE_DIR"
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "genocchi"
-#: first line of every cache file; see ClassificationCache for when to bump it
-CACHE_HEADER = f"# genocchi cache v2 (kernel: {active_backend()})"
+#: first line of every cache file; see ClassificationCache for when to bump it.
+#: It names the residues the rows hold: both limb rules of `kernels` give the same
+#: residues, so it keeps the name of the two-limb kernel that first wrote them.
+CACHE_HEADER = "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
 
 CSV_HEADER = (
     "ell,d,a,x,count_irregular,count_primes,experimental,conjectured,lower_bound,variant"

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import genocchi.kernels as kernels
 from genocchi.kernels import MAX_KERNEL_PRIME, power_sums
 from genocchi.modarith import primitive_root, sieve_primes
 
@@ -36,6 +39,10 @@ def test_power_sums_arg_validation():
         power_sums(8, 3)
     with pytest.raises(ValueError, match="exactness bound"):
         power_sums(MAX_KERNEL_PRIME + 1, 2)  # odd, so the bound check is what rejects it
+    # the fold floor((p-j)*mult/p) = mult - 1 - floor(j*mult/p) needs p not to divide mult
+    for p, mult in ((7, 7), (11, 22), (13, 13)):
+        with pytest.raises(ValueError, match="prime to p"):
+            power_sums(p, mult)
 
 
 def test_power_sums_rejects_composite_modulus():
@@ -44,8 +51,58 @@ def test_power_sums_rejects_composite_modulus():
 
 
 def test_power_sums_raises_when_rounding_margin_is_exceeded(monkeypatch):
-    import genocchi.kernels as kernels
-
     monkeypatch.setattr(kernels, "_MAX_ROUNDING_ERROR", -1.0)
-    with pytest.raises(ArithmeticError):
-        power_sums(101, primitive_root(101))
+    one_limb, two_limbs = 101, 20011
+    assert one_limb < kernels._ONE_LIMB_PRIME <= two_limbs
+    for p in (one_limb, two_limbs):
+        with pytest.raises(ArithmeticError):
+            power_sums(p, primitive_root(p))
+
+
+def test_one_limb_matches_two_limbs(monkeypatch):
+    # every prime the one-limb rule serves, against the two-limb rule forced on it
+    primes = [int(p) for p in sieve_primes(kernels._ONE_LIMB_PRIME - 1)[2:]]
+    one_limb = [power_sums(p, primitive_root(p)) for p in primes]
+    monkeypatch.setattr(kernels, "_ONE_LIMB_PRIME", 0)
+    for p, sums in zip(primes, one_limb):
+        assert np.array_equal(sums, power_sums(p, primitive_root(p))), p
+
+
+def _percival_factor(length: int, additions: int = 0) -> float:
+    """Percival (Math. Comp. 72, 2003): the error of a float64 FFT product over ||x|| * ||y||.
+
+    The length is taken as the next power of two, eps = 2**-53 and the
+    twiddle-factor error beta = eps / sqrt(2). Each spectral addition of two
+    products before the inverse transform is one more factor 1 + eps. log1p
+    and expm1 keep the (1 + tiny)**k - 1 digits that float powers round away.
+    """
+    n = math.ceil(math.log2(length))
+    eps = 2.0**-53
+    beta = eps / math.sqrt(2)
+    log_growth = (
+        (3 * n + additions) * math.log1p(eps)
+        + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
+        + 3 * n * math.log1p(beta)
+    )
+    return math.expm1(log_growth)
+
+
+def test_limb_split_within_written_bound():
+    # ||x|| <= sqrt(h) * x_max over h = (p-1)/2 entries, ||y|| <= sqrt(p-2) * y_max
+    def norm_product(p: int, x_max: int, y_max: int) -> float:
+        return math.sqrt((p - 1) // 2) * x_max * math.sqrt(p - 2) * y_max
+
+    p = int(sieve_primes(kernels._ONE_LIMB_PRIME - 1)[-1])  # 16381
+    one_limb = norm_product(p, p - 1, p - 1) * _percival_factor(kernels._fast_length(p - 2))
+    assert one_limb < kernels._MAX_ROUNDING_ERROR, (p, one_limb)
+
+    p = int(sieve_primes(MAX_KERNEL_PRIME)[-1])  # 249989
+    lo, hi = kernels._LIMB_MASK, (p - 1) >> kernels._LIMB_BITS
+    length = kernels._fast_length(p - 2)
+    limb_products = {
+        "lo*lo": norm_product(p, lo, lo) * _percival_factor(length),
+        # two products added in the spectrum before one inverse transform
+        "lo*hi + hi*lo": 2 * norm_product(p, lo, hi) * _percival_factor(length, additions=1),
+        "hi*hi": norm_product(p, hi, hi) * _percival_factor(length),
+    }
+    assert max(limb_products.values()) < kernels._MAX_ROUNDING_ERROR, (p, limb_products)

@@ -204,7 +204,7 @@ def test_cache_write_is_atomic(tmp_cache, monkeypatch):
 def test_cache_header_names_the_kernel():
     # caches written under this header must keep loading: change it only with the rows
     assert CACHE_HEADER == "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
-    assert active_backend() == "chirp, two 9-bit limbs"
+    assert active_backend() == "chirp, one limb below 2^14, two 9-bit limbs from 2^14"
 
 
 def test_cache_corruption_reported(tmp_cache):
