@@ -1,11 +1,13 @@
 """Per-prime irregularity classification.
 
 A prime is classified from multiplicative orders plus a B-irregularity flag.
-`b_irregular_pairs` finds the flag with the power-sum kernel. The rules
-(order thresholds and the p = 3 and p = ell edge cases) live in one function,
-`irregular_flags`, which applies them to whole arrays of primes at once: the
-survey calls it once per run, and `classify_prime(ell, p)` is its one-row
-case, with the orders from `prime_orders` and the flag from the kernel.
+`b_irregular_pairs` finds the flag with the power-sum kernel, one prime at a
+time. The orders and the rules work on whole arrays of primes: `prime_orders`
+gives every prime's (ord_p(ell), ord_p(ell**2), (ell/p)) row from one
+`modarith.mult_orders` pass, and `irregular_flags` applies the rules (order
+thresholds and the p = 3 and p = ell edge cases) to those rows. The survey
+calls each once per run for the whole sieve, and `classify_prime(ell, p)` is
+their one-row case, with the one-prime checks and the flag from the kernel.
 `wieferich_search` lists a base's Wieferich primes, the other H-sequence divisors.
 
 The congruence oracles that check this path (Voronoi, Kummer, Lehmer, exact
@@ -14,13 +16,12 @@ p-adic valuations and brute-force divisor scans) live in tests/oracles.py.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import power_sums
-from .modarith import is_prime, mult_order, primitive_root, sieve_primes
+from .kernels import MAX_KERNEL_PRIME, power_sums
+from .modarith import is_prime, mult_orders, primitive_root, sieve_primes
 
 __all__ = [
     "PrimeClassification",
@@ -65,34 +66,45 @@ def b_irregular_pairs(p: int) -> tuple[int, ...]:
     return tuple(2 * (int(i) + 1) for i in np.flatnonzero(sums == 0))
 
 
-def prime_orders(ell: int, p: int) -> tuple[int, int, int]:
-    """(ord_p(ell), ord_p(ell**2), (ell/p)) for a prime ell and an odd prime p.
+def prime_orders(ell: int, primes) -> np.ndarray:
+    """The (n, 3) int64 rows (ord_p(ell), ord_p(ell**2), (ell/p)) for odd primes p.
 
-    One order computation gives all three: with o = ord_p(ell),
+    One order array gives all three columns: with o = ord_p(ell),
     ord_p(ell**2) = o / gcd(o, 2), and by Euler's criterion (ell/p) = 1
-    exactly when o divides (p-1)/2. All three are 0 when p = ell; any other p
-    is checked by `mult_order`.
+    exactly when o divides (p-1)/2. The row of p = ell is zeros; every other p
+    goes to `mult_orders`, which checks that it is odd and below 2**31 but not
+    that it is prime. ell must be prime.
     """
-    if p == 2:
-        raise ValueError("2 is never classified; the definitions cover odd primes")
     if not is_prime(ell):
-        raise ValueError(f"both ell={ell} and p={p} must be prime")
-    if p == ell:
-        return (0, 0, 0)
-    o = mult_order(ell, p)
-    return o, o // math.gcd(o, 2), 1 if (p - 1) // 2 % o == 0 else -1
+        raise ValueError(f"ell must be prime, got {ell}")
+    p = np.asarray(primes, dtype=np.int64).ravel()
+    rows = np.zeros((p.size, 3), dtype=np.int64)
+    other = p != ell
+    o = mult_orders(ell, p[other])
+    rows[other, 0] = o
+    rows[other, 1] = o // np.gcd(o, 2)
+    rows[other, 2] = np.where((p[other] - 1) // 2 % o == 0, 1, -1)
+    return rows
 
 
 def classify_prime(ell: int, p: int) -> PrimeClassification:
     """Classify an odd prime p for base ell: `irregular_flags` for one prime.
 
-    The orders come first, so a bad ell or p fails before the kernel runs;
-    the B flag is `b_irregular_pairs(p)` for p > 3 (2 and 3 have none).
+    p is checked first (an odd prime within the kernel bound, which also keeps
+    the orders' factor sieve small) and the orders come next, so a bad ell or p
+    fails before the kernel runs; the B flag is `b_irregular_pairs(p)` for
+    p > 3 (2 and 3 have none).
     """
-    orders = prime_orders(ell, p)
+    if p == 2:
+        raise ValueError("2 is never classified; the definitions cover odd primes")
+    if not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+    if p > MAX_KERNEL_PRIME:
+        raise ValueError(f"p={p} exceeds the kernel exactness bound {MAX_KERNEL_PRIME}")
+    orders = prime_orders(ell, [p])
     b = p > 3 and bool(b_irregular_pairs(p))
-    g, h, hm, hp = (bool(mask[0]) for mask in irregular_flags(ell, [p], [orders], [b]))
-    return PrimeClassification(p, ell, *orders, b, g, h, hm, hp)
+    g, h, hm, hp = (bool(mask[0]) for mask in irregular_flags(ell, [p], orders, [b]))
+    return PrimeClassification(p, ell, *orders[0].tolist(), b, g, h, hm, hp)
 
 
 def irregular_flags(

@@ -1,5 +1,12 @@
 """Integer number-theory primitives: sieving, factoring, orders, Jacobi symbols.
 
+Two sieves: `sieve_primes` lists the primes up to a limit, and a
+smallest-prime-factor sieve factors every p - 1 of a prime array at once.
+`mult_orders` builds on the second one: it finds ord_p(g) for a whole array of
+primes in one numpy pass, with every modular product taken in int64, so each
+modulus must stay below MAX_ORDER_MODULUS = 2**31. `mult_order` is its
+one-prime counterpart, by trial division of p - 1 and Python integers.
+
 All functions are pure; prime arrays are frozen after construction and safe to
 share across workers.
 """
@@ -15,9 +22,14 @@ __all__ = [
     "is_prime",
     "factorize",
     "mult_order",
+    "mult_orders",
+    "MAX_ORDER_MODULUS",
     "jacobi",
     "primitive_root",
 ]
+
+#: `mult_orders` multiplies two residues mod p in int64, and p**2 < 2**62 needs p < 2**31
+MAX_ORDER_MODULUS = 2**31
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -93,6 +105,82 @@ def mult_order(g: int, p: int) -> int:
         while t % q == 0 and pow(g, t // q, p) == 1:
             t //= q
     return t
+
+
+def mult_orders(g: int, primes) -> np.ndarray:
+    """ord_p(g) for every p in `primes`, odd primes not dividing g, as an int64 array.
+
+    Each prime power q**s dividing p - 1 (s = 1 .. e_q) is one entry with
+    exponent (p - 1) / q**s, and one vectorised square-and-multiply raises g to
+    every entry's exponent at once. g**((p-1)/q**s) = 1 holds exactly for
+    s = 1 .. s_q, where q**s_q is the largest power of q dividing
+    (p - 1) / ord_p(g), so the order is (p - 1) over the product of q over the
+    entries that give 1.
+    The factors come from a smallest-prime-factor sieve of the cofactors
+    (p - 1) / 2, one int32 per integer up to max(primes) / 2, so the inputs are
+    meant to be sieve-sized (the survey stops at kernels.MAX_KERNEL_PRIME).
+    Every modulus must be odd and below MAX_ORDER_MODULUS, and that is checked
+    before the sieve is built; primality is not checked (the primes come from a
+    sieve, or the caller checks the one prime it passes).
+    """
+    p = np.asarray(primes, dtype=np.int64).ravel()
+    if p.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    bad = p[(p < 3) | (p % 2 == 0) | (p >= MAX_ORDER_MODULUS)]
+    if bad.size:
+        raise ValueError(f"moduli must be odd primes below 2**31, got {bad[0]}")
+    base = g % p
+    if not base.all():
+        raise ValueError(f"{p[base == 0][0]} divides {g}; order undefined")
+    spf = _smallest_factors(int(p.max()) // 2)
+    # one layer per prime factor of p - 1 taken with multiplicity, ascending: 2
+    # first (every p - 1 is even), then the factors of the cofactor (p - 1) / 2
+    layers = []
+    rows = np.arange(p.size)
+    q = qpow = np.full(p.size, 2, dtype=np.int64)
+    rest = (p - 1) // 2
+    while rows.size:
+        layers.append((rows, q, (p[rows] - 1) // qpow))
+        more = rest > 1
+        rows, rest, prev, qpow = rows[more], rest[more], q[more], qpow[more]
+        q = spf[rest].astype(np.int64)
+        qpow = np.where(q == prev, qpow * q, q)
+        rest //= q
+    entry_rows, entry_q, exponent = (np.concatenate(parts) for parts in zip(*layers))
+    hit = _pow_mod(base, p, exponent, entry_rows) == 1
+    missing = np.ones(p.size, dtype=np.int64)
+    np.multiply.at(missing, entry_rows[hit], entry_q[hit])
+    return (p - 1) // missing
+
+
+def _smallest_factors(limit: int) -> np.ndarray:
+    """spf[n] = the least prime factor of n for 2 <= n <= limit (spf[0] = 0, spf[1] = 1)."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for q in range(2, math.isqrt(limit) + 1):
+        if spf[q] == 0:
+            multiples = spf[q * q :: q]
+            multiples[multiples == 0] = q
+    unset = np.flatnonzero(spf == 0)
+    spf[unset] = unset  # primes are their own least factor
+    return spf
+
+
+def _pow_mod(
+    base: np.ndarray, mod: np.ndarray, exponent: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """base[rows]**exponent % mod[rows] elementwise, by binary powering in int64.
+
+    The entries of one row share its squarings base**(2**k) % mod, taken once
+    per row. Every product is of two residues below the modulus, so moduli
+    below MAX_ORDER_MODULUS = 2**31 keep it below 2**62.
+    """
+    entry_mod = mod[rows]
+    result = np.ones(rows.size, dtype=np.int64)
+    for bit in range(int(exponent.max()).bit_length()):
+        if bit:
+            base = base * base % mod
+        result = np.where((exponent >> bit) & 1, result * base[rows] % entry_mod, result)
+    return result
 
 
 def jacobi(a: int, n: int) -> int:

@@ -31,6 +31,11 @@ back. A failing prime costs its batch nothing: the worker finishes the rest of
 the batch. The first error, or an interrupt, cancels the batches still queued;
 the running ones finish, and every finished batch is saved. The pool needs the
 POSIX `fork` start method; there is no thread fallback.
+
+The orders stage (`_ensure_orders`) runs in the parent: the primes missing from
+orders_<ell>.csv get their (ord, ord_sq, jacobi) rows from one
+`classify.prime_orders` call, a numpy pass over all of them, and the file is
+rewritten once. A warm survey computes no order at all.
 """
 
 from __future__ import annotations
@@ -181,11 +186,11 @@ class ClassificationCache:
 
 
 def _parse_b_row(fields: list[str]) -> tuple[int, tuple[int, ...]]:
+    """`p,0,` for a B-regular prime, `p,1,i;j;...` otherwise; anything else is damage."""
     p, flag, idx = fields
-    indices = tuple(int(t) for t in idx.split(";") if t)
-    if bool(int(flag)) != bool(indices):
+    if flag != ("1" if idx else "0"):
         raise ValueError("flag does not match index list")
-    return int(p), indices
+    return int(p), tuple(map(int, idx.split(";"))) if idx else ()
 
 
 def _parse_orders_row(fields: list[str]) -> tuple[int, tuple[int, int, int]]:
@@ -260,7 +265,7 @@ def _ensure_b_pairs(
     primes: np.ndarray, cache: ClassificationCache, threads: int, quiet: bool
 ) -> dict[int, tuple[int, ...]]:
     known = cache.load_b_pairs()
-    todo = [int(p) for p in primes if p >= 5 and int(p) not in known]
+    todo = [p for p in primes.tolist() if p >= 5 and p not in known]
     if not todo:  # no pool, no fork: a warm survey never pays for one
         return known
     # imported here: multiprocessing alone adds ~12 ms to `import genocchi`
@@ -314,8 +319,8 @@ def _ensure_orders(ell: int, primes: np.ndarray, cache: ClassificationCache) -> 
     orders = cache.load_orders(ell)
     odd = primes[1:].tolist()  # 2 is never classified
     missing = [p for p in odd if p not in orders]
-    if missing:
-        orders.update((p, prime_orders(ell, p)) for p in missing)
+    if missing:  # one array pass for every missing prime; none for a warm cache
+        orders.update(zip(missing, map(tuple, prime_orders(ell, missing).tolist())))
         cache.save_classifications(ell, orders)
     return np.array([(0, 0, 0)] + [orders[p] for p in odd], dtype=np.int64)
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from genocchi import classify as classify_mod
 from genocchi.classify import (
     b_irregular_pairs,
     classify_prime,
@@ -10,7 +12,8 @@ from genocchi.classify import (
     wieferich_search,
 )
 from genocchi.exactseq import ConsistencyError
-from genocchi.modarith import sieve_primes
+from genocchi.kernels import MAX_KERNEL_PRIME
+from genocchi.modarith import is_prime, mult_order, sieve_primes
 
 from oracles import (
     divides_sequence,
@@ -71,13 +74,53 @@ def test_classify_edge_rules():
     # p = ell > 3 is G-irregular; its H flags follow the B flag
     own = classify_prime(5, 5)
     assert own.g_irregular and not own.h_irregular
-    g, h, hm, hp = irregular_flags(5, [5], [prime_orders(5, 5)], [True])
+    g, h, hm, hp = irregular_flags(5, [5], prime_orders(5, [5]), [True])
     assert g[0] and h[0] and hm[0] and hp[0]
     # 2 and 3 stay regular whatever their B flag, and so does p = ell = 3
     for ell in (3, 7):
-        flags = irregular_flags(ell, [2, 3], [(0, 0, 0), prime_orders(ell, 3)], [True, True])
+        flags = irregular_flags(ell, [2, 3], [(0, 0, 0), *prime_orders(ell, [3])], [True, True])
         assert not any(mask.any() for mask in flags), ell
     assert not classify_prime(3, 3).g_irregular
+
+
+TABLE_1_BASES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+def test_prime_orders_match_the_one_prime_oracle():
+    # the array pass against mult_order, one prime at a time, and Euler's criterion
+    odd = [int(p) for p in sieve_primes(10**5)[1:]]
+    for ell in TABLE_1_BASES:
+        rows = prime_orders(ell, odd)
+        want = [
+            (0, 0, 0) if p == ell else (
+                mult_order(ell, p),
+                mult_order(ell * ell % p, p),
+                1 if pow(ell, (p - 1) // 2, p) == 1 else -1,
+            )
+            for p in odd
+        ]
+        assert rows.shape == (len(odd), 3) and rows.dtype == np.int64
+        # the rows of p = 3 and, for odd ell, the zero row of p = ell included
+        assert rows.tolist() == [list(w) for w in want], ell
+        # a one-row input is the same computation, with its own factor sieve
+        for p in {3, max(ell, 3), odd[-1]}:
+            assert prime_orders(ell, [p]).tolist() == [list(want[odd.index(p)])], (ell, p)
+    assert prime_orders(3, []).shape == (0, 3)
+    with pytest.raises(ValueError, match="ell must be prime"):
+        prime_orders(9, [5])
+
+
+def test_classify_prime_checks_p_before_the_orders(monkeypatch):
+    def no_orders(*args):
+        raise AssertionError("orders computed for a p the checks should have refused")
+
+    monkeypatch.setattr(classify_mod, "mult_orders", no_orders)
+    above = next(n for n in range(MAX_KERNEL_PRIME + 1, 2 * MAX_KERNEL_PRIME) if is_prime(n))
+    with pytest.raises(ValueError, match="kernel exactness bound"):
+        classify_prime(2, above)
+    for p in (9, 1, -7):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            classify_prime(2, p)
 
 
 def test_classification_invariants():

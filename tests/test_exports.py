@@ -120,6 +120,26 @@ def test_no_unused_locals():
     assert not unused, unused
 
 
+def test_no_unreferenced_private_functions():
+    # a helper left behind when its caller is replaced: a `_name` def in the
+    # package that no source file of the package reads (dunder methods excepted)
+    package = sorted(Path(genocchi.__file__).parent.glob("*.py"))
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 10
+    unreferenced = [f"{where} {name}" for name, where in defined.items() if name not in read]
+    assert not unreferenced, unreferenced
+
+
 def test_import_starts_no_process_machinery():
     # the B-stage imports its process pool when it needs one; at import time it
     # would add ~12 ms to every command, warm or not

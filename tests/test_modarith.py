@@ -2,11 +2,14 @@ import math
 
 import pytest
 
+from genocchi import modarith
 from genocchi.modarith import (
+    MAX_ORDER_MODULUS,
     factorize,
     is_prime,
     jacobi,
     mult_order,
+    mult_orders,
     primitive_root,
     sieve_primes,
 )
@@ -93,6 +96,29 @@ def test_mult_order_divides_p_minus_1():
         for g in (2, 3, 5, 7, 10):
             if g % p:
                 assert (p - 1) % mult_order(g, p) == 0
+
+
+def test_mult_orders_small():
+    assert mult_orders(2, [3, 7, 31, 127]).tolist() == [2, 3, 5, 7]
+    assert mult_orders(4, [3]).tolist() == [1]  # 4 = 1 mod 3
+    assert mult_orders(-1, [5, 7]).tolist() == [2, 2]
+    assert mult_orders(2, []).shape == (0,)
+
+
+def test_mult_orders_domain(monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"factor sieve to {limit} built for a rejected modulus")
+
+    monkeypatch.setattr(modarith, "_smallest_factors", no_sieve)
+    # 2**31 + 11 is prime; its products would overflow int64, so it fails before the sieve
+    for p in (MAX_ORDER_MODULUS + 11, MAX_ORDER_MODULUS + 1):
+        with pytest.raises(ValueError, match="below 2\\*\\*31"):
+            mult_orders(3, [5, p])
+    for bad in ([2], [1], [9, 10], [-5]):
+        with pytest.raises(ValueError, match="odd"):
+            mult_orders(3, bad)
+    with pytest.raises(ValueError, match="divides"):
+        mult_orders(14, [5, 7])
 
 
 def test_order_of_square_halving():

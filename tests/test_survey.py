@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -86,6 +87,7 @@ def test_bad_survey_fails_before_any_prime(tmp_cache, monkeypatch, options):
 
 
 def test_empty_progression_fails_before_the_b_stage(tmp_cache, monkeypatch, capsys):
+    # neither stage may start: no kernel call and no order pass
     monkeypatch.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
     monkeypatch.setattr(survey_mod, "prime_orders", _no_recompute)
     cfg = small_config(tmp_cache, x=100, progressions=((1000, 1), (4, 1), (1000, 9)))
@@ -171,6 +173,8 @@ def test_cache_warm_equals_cold(tmp_cache, monkeypatch):
         cache = ClassificationCache(root)
         assert cache._b_path().exists()
         assert cache._orders_path(ell).exists()
+        # prime_orders is the survey's one call for every order it computes, so
+        # a warm survey that computed any order would fail here
         with monkeypatch.context() as m:
             m.setattr(survey_mod, "prime_orders", _no_recompute)
             m.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
@@ -207,13 +211,15 @@ def test_cache_header_names_the_kernel():
     assert active_backend() == "chirp, one limb below 2^14, two 9-bit limbs from 2^14"
 
 
-def test_cache_corruption_reported(tmp_cache):
+@pytest.mark.parametrize("row", ["37,0,32", "37,1,", "37,2,32", "37,0", "37,1,32;;36"])
+def test_cache_corruption_reported(tmp_cache, row):
     cfg = small_config(tmp_cache, x=500)
     run_survey(cfg)
     path = ClassificationCache(resolve_cache_dir(tmp_cache))._b_path()
-    # under the current header a bad row is damage, not a foreign file
-    path.write_text(f"{CACHE_HEADER}\n37,0,32\n")
-    with pytest.raises(SurveyError, match="delete"):
+    # under the current header a bad row is damage, not a foreign file: a flag
+    # that disagrees with the index list, a missing field or an empty index
+    path.write_text(f"{CACHE_HEADER}\n5,0,\n{row}\n")
+    with pytest.raises(SurveyError, match=f"{re.escape(str(path))}.*delete"):
         run_survey(cfg)
 
 
