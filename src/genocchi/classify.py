@@ -5,8 +5,9 @@ A prime is classified from multiplicative orders plus a B-irregularity flag.
 time. The orders and the rules work on whole arrays of primes: `prime_orders`
 gives every prime's (ord_p(ell), ord_p(ell**2), (ell/p)) row from one
 `modarith.mult_orders` pass, and `irregular_flags` applies the rules (order
-thresholds and the p = 3 and p = ell edge cases) to those rows. The survey
-calls each once per run for the whole sieve, and `classify_prime(ell, p)` is
+thresholds and the p = 3 and p = ell edge cases) to those rows. A survey
+calls `irregular_flags` once for the whole sieve and `prime_orders` once for
+the primes missing from its orders cache, and `classify_prime(ell, p)` is
 their one-row case, with the one-prime checks and the flag from the kernel.
 `wieferich_search` lists a base's Wieferich primes, the other H-sequence divisors.
 

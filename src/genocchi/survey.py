@@ -70,15 +70,13 @@ __all__ = [
 ]
 
 CACHE_ENV = "GENOCCHI_CACHE_DIR"
-DEFAULT_CACHE_DIR = Path.home() / ".cache" / "genocchi"
+#: unexpanded: resolve_cache_dir expands it, and so needs a home, only when it is used
+DEFAULT_CACHE_DIR = Path("~/.cache/genocchi")
 #: first line of every cache file; see ClassificationCache for when to bump it.
 #: It names the residues the rows hold: both limb rules of `kernels` give the same
 #: residues, so it keeps the name of the two-limb kernel that first wrote them.
 CACHE_HEADER = "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
 
-CSV_HEADER = (
-    "ell,d,a,x,count_irregular,count_primes,experimental,conjectured,lower_bound,variant"
-)
 #: B-stage tasks per worker process: enough to even out the load, few enough that
 #: pickling and scheduling stay small next to the kernel
 BATCHES_PER_WORKER = 16
@@ -135,13 +133,17 @@ class SurveyRow:
 
 
 def resolve_cache_dir(configured: Path | str | None) -> Path:
-    """A given directory wins, then GENOCCHI_CACHE_DIR; an empty string counts as not given."""
-    if configured:
-        return Path(configured).expanduser()
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env).expanduser()
-    return DEFAULT_CACHE_DIR
+    """A given directory wins, then GENOCCHI_CACHE_DIR, then DEFAULT_CACHE_DIR; an
+    empty string counts as not given. A `~` that no home directory can expand
+    raises SurveyError."""
+    chosen = configured or os.environ.get(CACHE_ENV) or DEFAULT_CACHE_DIR
+    try:
+        return Path(chosen).expanduser()
+    except RuntimeError as exc:  # no HOME and no passwd entry for this user
+        raise SurveyError(
+            f"cannot expand the cache directory {chosen} ({exc}); "
+            f"give one with --cache-dir or {CACHE_ENV}"
+        ) from exc
 
 
 class ClassificationCache:
@@ -149,8 +151,9 @@ class ClassificationCache:
 
     Every file is the line CACHE_HEADER, then one row per prime: birregular.csv
     holds `p,b_irregular,indices` (indices ';'-joined) for primes p >= 5, and
-    orders_<ell>.csv holds `p,ord,ord_sq,jacobi` for odd primes. Flags are
-    rebuilt from the stored orders on load, so the two files never drift apart.
+    orders_<ell>.csv holds `p,ord,ord_sq,jacobi` for odd primes. No flag is
+    stored: each survey derives them from the orders and the B rows, so the two
+    files never drift apart.
 
     A file whose first line is not CACHE_HEADER (another schema or kernel) reads
     as absent: its primes are recomputed and the file rewritten. A malformed row
@@ -362,27 +365,32 @@ def run_survey(config: SurveyConfig) -> list[SurveyRow]:
     return rows
 
 
+#: the CSV columns in order, each a SurveyRow field and its format spec
+_CSV_COLUMNS = {
+    "ell": "", "d": "", "a": "", "x": "", "count_irregular": "", "count_primes": "",
+    "experimental": ".6f", "conjectured": ".9f", "lower_bound": ".9f", "variant": "",
+}
+
+#: the key columns of each one-line-per-row text layout, field -> width;
+#: the experimental and theoretical columns follow them (hpm pivots instead)
+_TEXT_KEYS = {
+    "g1": {"ell": 4},
+    "g3": {"ell": 4, "d": 3, "a": 3},
+    "survey": {"ell": 4, "d": 3, "a": 3, "variant": 7},
+}
+
+
 def _format_csv(rows: list[SurveyRow], deterministic: bool) -> str:
-    lines = []
-    if not deterministic:
-        lines.append(f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
-    lines.append(CSV_HEADER)
+    lines = [] if deterministic else [f"# generated {time.strftime('%Y-%m-%dT%H:%M:%S%z')}"]
+    lines.append(",".join(_CSV_COLUMNS))
     for r in rows:
-        lines.append(
-            f"{r.ell},{r.d},{r.a},{r.x},{r.count_irregular},{r.count_primes},"
-            f"{r.experimental:.6f},{r.conjectured:.9f},{r.lower_bound:.9f},{r.variant}"
-        )
+        lines.append(",".join(format(getattr(r, f), spec) for f, spec in _CSV_COLUMNS.items()))
     return "\n".join(lines) + "\n"
 
 
-def _format_json(rows: list[SurveyRow]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
-
-
 def _format_text(which: str, rows: list[SurveyRow]) -> str:
-    out = []
     if which == "hpm":
-        out.append(f"{'ell':>4}  {'H+ exp':>10} {'H+ theo':>10}  {'H- exp':>10} {'H- theo':>10}")
+        out = [f"{'ell':>4}  {'H+ exp':>10} {'H+ theo':>10}  {'H- exp':>10} {'H- theo':>10}"]
         by_ell: dict[int, dict[str, SurveyRow]] = {}
         for r in rows:
             by_ell.setdefault(r.ell, {})[r.variant] = r
@@ -395,25 +403,15 @@ def _format_text(which: str, rows: list[SurveyRow]) -> str:
                 f"{plus.experimental:>10.6f} {plus.conjectured:>10.6f}  "
                 f"{minus.experimental:>10.6f} {minus.conjectured:>10.6f}"
             )
-    elif which == "g3":
-        out.append(f"{'ell':>4} {'d':>3} {'a':>3}  {'experimental':>12} {'theoretical':>12}")
-        for r in rows:
-            out.append(
-                f"{r.ell:>4} {r.d:>3} {r.a:>3}  {r.experimental:>12.6f} {r.conjectured:>12.6f}"
-            )
-    elif which == "survey":
-        out.append(
-            f"{'ell':>4} {'d':>3} {'a':>3} {'variant':>7}  {'experimental':>12} {'theoretical':>12}"
-        )
-        for r in rows:
-            out.append(
-                f"{r.ell:>4} {r.d:>3} {r.a:>3} {r.variant:>7}  "
-                f"{r.experimental:>12.6f} {r.conjectured:>12.6f}"
-            )
     else:
-        out.append(f"{'ell':>4}  {'experimental':>12} {'theoretical':>12}")
+        keys = _TEXT_KEYS[which]
+        out = [" ".join(f"{f:>{w}}" for f, w in keys.items())
+               + f"  {'experimental':>12} {'theoretical':>12}"]
         for r in rows:
-            out.append(f"{r.ell:>4}  {r.experimental:>12.6f} {r.conjectured:>12.6f}")
+            out.append(
+                " ".join(f"{getattr(r, f):>{w}}" for f, w in keys.items())
+                + f"  {r.experimental:>12.6f} {r.conjectured:>12.6f}"
+            )
     return "\n".join(out) + "\n"
 
 
@@ -431,7 +429,7 @@ def emit_table(
     if fmt == "csv":
         return _format_csv(rows, deterministic)
     if fmt == "json":
-        return _format_json(rows)
+        return json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     if fmt == "text":
         return _format_text(which, rows)
     raise ValueError(f"unknown format {fmt!r}")

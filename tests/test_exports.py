@@ -120,18 +120,30 @@ def test_no_unused_locals():
     assert not unused, unused
 
 
-def test_no_unreferenced_private_functions():
-    # a helper left behind when its caller is replaced: a `_name` def in the
-    # package that no source file of the package reads (dunder methods excepted)
+def _bindings(tree: ast.Module):
+    """(name, line) for each def anywhere and each plain name bound at module level
+    by `=` or `: T =`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+
+
+def test_no_unreferenced_private_names():
+    # a helper or table left behind when its reader is replaced: a private def or
+    # module-level assignment in the package that no source file of the package reads
     package = sorted(Path(genocchi.__file__).parent.glob("*.py"))
     defined: dict[str, str] = {}
     read: set[str] = set()
     for path in package:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined[node.name] = f"{path.name}:{node.lineno}"
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        tree = ast.parse(path.read_text())
+        defined.update((name, f"{path.name}:{line}") for name, line in _bindings(tree)
+                       if name.startswith("_") and not name.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)

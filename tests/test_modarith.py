@@ -121,17 +121,6 @@ def test_mult_orders_domain(monkeypatch):
         mult_orders(14, [5, 7])
 
 
-def test_order_of_square_halving():
-    # ord(ell^2) is ord(ell) when odd, else half of it
-    for p in map(int, sieve_primes(2000)[1:]):
-        for ell in (2, 3, 5, 7):
-            if ell == p:
-                continue
-            t = mult_order(ell, p)
-            t_sq = mult_order(ell * ell % p, p)
-            assert t_sq == (t if t % 2 else t // 2), (ell, p)
-
-
 def test_jacobi_basics():
     assert jacobi(2, 7) == 1  # 3^2 = 2 mod 7
     for n in range(1, 50, 2):

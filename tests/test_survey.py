@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from genocchi.kernels import MAX_KERNEL_PRIME, active_backend
 from genocchi.modarith import sieve_primes
 from genocchi.survey import (
     CACHE_HEADER,
+    TABLE_PRESETS,
     ClassificationCache,
     SurveyConfig,
     SurveyError,
@@ -360,6 +362,35 @@ def test_cache_env_override(tmp_path, monkeypatch):
     assert resolve_cache_dir("") == survey_mod.DEFAULT_CACHE_DIR
 
 
+def test_commands_run_without_a_home_directory(tmp_path):
+    # HOME unset and no passwd entry: `~` cannot expand. Only a survey that needs the
+    # default cache directory may fail, and then with one error line naming both fixes.
+    script = (
+        "import pwd, sys\n"
+        "def no_entry(uid): raise KeyError(uid)\n"
+        "pwd.getpwuid = no_entry\n"
+        "from genocchi.cli import cli_main\n"
+        "sys.exit(cli_main(sys.argv[1:]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("HOME", survey_mod.CACHE_ENV)}
+    env["PYTHONPATH"] = str(Path(survey_mod.__file__).parent.parent)
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("bernoulli", "--n", "12") == (0, "-691/2730\n", "")
+    survey = ["survey", "--ell", "3", "--x", "500", "--quiet"]
+    code, out, err = run(*survey, "--cache-dir", str(tmp_path / "cache"))
+    assert (code, err) == (0, "") and "experimental" in out
+    assert (tmp_path / "cache" / "birregular.csv").exists()
+    code, out, err = run(*survey)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot expand the cache directory ~/.cache/genocchi")
+    assert err.count("\n") == 1 and "--cache-dir" in err and survey_mod.CACHE_ENV in err
+
+
 # ---------------------------------------------------------------- emission
 
 
@@ -415,6 +446,94 @@ def test_survey_text_names_each_row(tmp_cache, capsys):
         for r in rows
     ]
     assert len(set(lines)) == 4
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+# g3 and hpm text and a survey CSV at x = 1000, recorded from the hand-written
+# f-strings that _TEXT_KEYS and _CSV_COLUMNS replaced; compared byte for byte
+# (the hpm text in test_cli_table_small)
+G3_TEXT_1000 = """\
+ ell   d   a  experimental  theoretical
+   3   3   1      0.775000     0.818547
+   3   3   2      0.448276     0.455642
+   3   4   1      0.737500     0.727821
+   3   4   3      0.482759     0.546369
+   5   3   1      0.700000     0.723046
+   5   3   2      0.609195     0.584569
+   5   4   1      0.800000     0.761247
+   5   4   3      0.517241     0.546369
+   7   3   1      0.637500     0.725608
+   7   3   2      0.609195     0.588413
+   7   4   1      0.737500     0.767652
+   7   4   3      0.517241     0.546369
+  11   7   1      0.678571     0.700354
+  11   7   2      0.481481     0.650413
+  11   7   3      0.566667     0.650413
+  11   7   4      0.615385     0.650413
+  11   7   5      0.827586     0.650413
+  11   7   6      0.481481     0.650413
+  11  15   1      0.666667     0.770096
+  11  15   2      0.608696     0.568930
+  11  15   4      0.555556     0.712620
+  11  15   7      0.666667     0.712620
+  11  15   8      0.523810     0.568930
+  11  15  11      0.681818     0.655144
+  11  15  13      0.600000     0.712620
+  11  15  14      0.550000     0.568930
+"""
+HPM_TEXT_1000 = """\
+ ell      H+ exp    H+ theo      H- exp    H- theo
+   2    0.559524   0.596280    0.565476   0.603073
+   3    0.535714   0.571007    0.559524   0.591732
+   5    0.565476   0.559070    0.577381   0.600088
+   7    0.559524   0.571007    0.565476   0.601690
+  11    0.547619   0.571007    0.541667   0.602552
+  13    0.535714   0.569544    0.547619   0.602707
+  17    0.553571   0.570170    0.535714   0.602863
+  19    0.505952   0.571007    0.547619   0.602906
+"""
+SURVEY_CSV_1000 = """\
+ell,d,a,x,count_irregular,count_primes,experimental,conjectured,lower_bound,variant
+3,4,1,1000,59,80,0.737500,0.727821200,0.551253024,G
+3,4,1,1000,52,80,0.650000,0.637094934,0.401670698,Hminus
+3,4,3,1000,42,87,0.482759,0.546368667,0.252088373,G
+3,4,3,1000,42,87,0.482759,0.546368667,0.252088373,Hminus
+"""
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, shown output) for every `$ genocchi ...` line in a README code block."""
+    examples = []
+    for block in re.findall(r"^```\n(.*?)^```$", README.read_text(), re.M | re.S):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M):
+            if chunk.startswith("$ genocchi "):
+                command, _, shown = chunk.partition("\n")
+                examples.append((shlex.split(command)[2:], shown))
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    # one cache for all: the two x = 10^4 examples share a B-stage
+    monkeypatch.setenv(survey_mod.CACHE_ENV, str(tmp_path / "cache"))
+    examples = _readme_examples()
+    assert len(examples) >= 10
+    for argv, shown in examples:
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        assert out + err == shown, argv
+        assert code == (1 if shown.startswith("error: ") else 0), argv
+
+
+def test_table_layouts_byte_for_byte(tmp_cache, capsys):
+    # every name emit_table accepts has a text layout: the pivoted hpm or a key table
+    assert survey_mod._TEXT_KEYS.keys() | {"hpm"} == TABLE_PRESETS.keys() | {"survey"}
+    survey = ["survey", "--ell", "3", "--x", "1000", "--progression", "4,1", "--progression", "4,3",
+              "--variant", "g", "--variant", "hminus", "--format", "csv", "--deterministic"]
+    for argv, want in ((["table", "--which", "g3", "--x", "1000"], G3_TEXT_1000),
+                       (survey, SURVEY_CSV_1000)):
+        assert cli_main([*argv, "--cache-dir", str(tmp_cache), "--quiet"]) == 0
+        assert capsys.readouterr().out == want, argv
 
 
 # ---------------------------------------------------------------- CLI
@@ -570,9 +689,7 @@ def test_cli_table_small(tmp_cache, capsys):
         ]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    assert "H+ exp" in out
-    assert len(out.strip().splitlines()) == 9  # header + one row per base
+    assert capsys.readouterr().out == HPM_TEXT_1000  # header + one row per base
 
 
 def test_cli_usage_error_exit_2():
