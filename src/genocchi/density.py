@@ -96,11 +96,11 @@ def _canonical(ell: int, d: int, a: int) -> tuple[int, int, int]:
     _require_prime(ell)
     if d < 1:
         raise ValueError(f"modulus d must be >= 1, got {d}")
+    if math.gcd(a, d) != 1:  # on the given a, so the error names it; gcd(a, d) = gcd(a mod d, d)
+        raise ValueError(f"a={a} and d={d} must be coprime")
     a %= d
     if d == 1:
         a = 1
-    if math.gcd(a, d) != 1:
-        raise ValueError(f"a={a} and d={d} must be coprime")
     return ell, d, a
 
 

@@ -372,7 +372,7 @@ _CSV_COLUMNS = {
 }
 
 #: the key columns of each one-line-per-row text layout, field -> width;
-#: the experimental and theoretical columns follow them (hpm pivots instead)
+#: the experimental and theoretical columns follow them (hpm pairs rows instead)
 _TEXT_KEYS = {
     "g1": {"ell": 4},
     "g3": {"ell": 4, "d": 3, "a": 3},
@@ -389,20 +389,18 @@ def _format_csv(rows: list[SurveyRow], deterministic: bool) -> str:
 
 
 def _format_text(which: str, rows: list[SurveyRow]) -> str:
-    if which == "hpm":
+    if which in TABLE_PRESETS:  # a table layout hides columns, so it names only its own rows
+        ells = {r.ell for r in rows}
+        table = [(ell, d, a, v) for ell, progressions, variants in TABLE_PRESETS[which]
+                 if ell in ells for d, a in progressions for v in variants]
+        if [(r.ell, r.d, r.a, r.variant) for r in rows] != table:
+            raise ValueError(f"the {which} layout prints only the rows of run_table({which!r}, "
+                             "...), in order; the survey layout prints any rows")
+    if which == "hpm":  # by the rule above: an Hplus row, then its Hminus row, per ell
         out = [f"{'ell':>4}  {'H+ exp':>10} {'H+ theo':>10}  {'H- exp':>10} {'H- theo':>10}"]
-        by_ell: dict[int, dict[str, SurveyRow]] = {}
-        for r in rows:
-            by_ell.setdefault(r.ell, {})[r.variant] = r
-        for ell in sorted(by_ell):
-            if not {"Hplus", "Hminus"} <= by_ell[ell].keys():
-                raise ValueError(f"the hpm layout needs an Hplus and an Hminus row for ell = {ell}")
-            plus, minus = by_ell[ell]["Hplus"], by_ell[ell]["Hminus"]
-            out.append(
-                f"{ell:>4}  "
-                f"{plus.experimental:>10.6f} {plus.conjectured:>10.6f}  "
-                f"{minus.experimental:>10.6f} {minus.conjectured:>10.6f}"
-            )
+        for plus, minus in zip(rows[::2], rows[1::2]):
+            out.append(f"{plus.ell:>4}  {plus.experimental:>10.6f} {plus.conjectured:>10.6f}  "
+                       f"{minus.experimental:>10.6f} {minus.conjectured:>10.6f}")
     else:
         keys = _TEXT_KEYS[which]
         out = [" ".join(f"{f:>{w}}" for f, w in keys.items())
@@ -420,7 +418,9 @@ def emit_table(
 ) -> str:
     """Render survey rows in the requested format; `which` picks the text layout.
 
-    `which` is a TABLE_PRESETS name or "survey", whatever the format.
+    `which` is a TABLE_PRESETS name or "survey", whatever the format. A table's text layout
+    takes exactly what run_table(which, ...) returns for the ells among the rows, in its
+    order, and raises ValueError on other rows; the survey layout, CSV and JSON print any rows.
     """
     if which not in TABLE_PRESETS and which != "survey":
         raise ValueError(

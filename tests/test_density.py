@@ -72,6 +72,9 @@ def test_r_factor_examples():
 def test_r_factor_rejects_noncoprime():
     with pytest.raises(ValueError):
         r_factor(6, 3)
+    # the error names the a it was given, not a mod d
+    with pytest.raises(ValueError, match="a=3 and d=3"):
+        r_factor(3, 3)
 
 
 # ---------------------------------------------------------------- exact anchors

@@ -424,10 +424,32 @@ def test_emit_table_rejects_an_unknown_layout(tmp_cache):
             emit_table("bogus", rows, fmt)
 
 
-def test_hpm_layout_needs_both_h_variants(tmp_cache):
-    rows = run_survey(small_config(tmp_cache, x=500, variants=("Hminus",)))
-    with pytest.raises(ValueError, match="Hplus and an Hminus row for ell = 3"):
-        emit_table("hpm", rows, "text")
+# (progressions, variants) of the ell = 3 surveys whose rows are emitted together
+_HMINUS_ONLY = [(((1, 1),), ("Hminus",))]
+_HPLUS_THEN_HMINUS_MOD_4 = [(((1, 1),), ("Hplus",)), (((4, 1), (4, 3)), ("Hminus",))]
+
+
+@pytest.mark.parametrize(
+    "which, surveys",
+    [
+        ("hpm", _HMINUS_ONLY),
+        ("hpm", _HPLUS_THEN_HMINUS_MOD_4),
+        ("g1", _HPLUS_THEN_HMINUS_MOD_4),
+        ("g3", _HPLUS_THEN_HMINUS_MOD_4),
+    ],
+    ids=["hpm-hminus-only", "hpm-mixed", "g1-mixed", "g3-mixed"],
+)
+def test_table_layout_rejects_rows_it_cannot_name(tmp_cache, which, surveys):
+    # a table's text layout hides some of d, a and variant; the survey layout names them all
+    rows = [
+        row
+        for progressions, variants in surveys
+        for row in run_survey(small_config(tmp_cache, x=500, progressions=progressions,
+                                           variants=variants))
+    ]
+    assert emit_table("survey", rows, "text").count("\n") == len(rows) + 1
+    with pytest.raises(ValueError, match=f"the {which} layout prints only the rows of run_table"):
+        emit_table(which, rows, "text")
 
 
 def test_survey_text_names_each_row(tmp_cache, capsys):
@@ -526,7 +548,7 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, caps
 
 
 def test_table_layouts_byte_for_byte(tmp_cache, capsys):
-    # every name emit_table accepts has a text layout: the pivoted hpm or a key table
+    # every name emit_table accepts has a text layout: the paired hpm or a key table
     assert survey_mod._TEXT_KEYS.keys() | {"hpm"} == TABLE_PRESETS.keys() | {"survey"}
     survey = ["survey", "--ell", "3", "--x", "1000", "--progression", "4,1", "--progression", "4,3",
               "--variant", "g", "--variant", "hminus", "--format", "csv", "--deterministic"]
@@ -537,38 +559,6 @@ def test_table_layouts_byte_for_byte(tmp_cache, capsys):
 
 
 # ---------------------------------------------------------------- CLI
-
-
-def test_cli_survey_csv(tmp_cache, capsys):
-    code = cli_main(
-        [
-            "survey", "--ell", "3", "--x", "2000", "--variant", "g",
-            "--format", "csv", "--cache-dir", str(tmp_cache),
-            "--quiet", "--deterministic",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    rows = parse_rows_csv(out)
-    assert len(rows) == 1 and rows[0].ell == 3 and rows[0].x == 2000
-
-
-def test_cli_density_example(capsys):
-    assert cli_main(["density", "--kind", "g", "--ell", "3", "--d", "4", "--a", "1"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out.startswith("6/5 * A = 0.448746")
-
-
-def test_cli_density_ratio(capsys):
-    assert cli_main(["density", "--kind", "g-conj", "--ell", "2"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out.startswith("0.659776")
-
-
-def test_cli_classify(capsys):
-    assert cli_main(["classify", "--ell", "2", "--p", "37"]) == 0
-    out = capsys.readouterr().out
-    assert "p=37" in out and "B=1" in out and "G=1" in out
 
 
 def test_cli_classify_checks_ell_before_the_kernel(capsys, monkeypatch):
@@ -604,18 +594,6 @@ def test_survey_reports_progress_unless_quiet(tmp_cache, capsys):
     # one line per finished batch, the last one with every prime and nothing left
     assert len(lines) - 1 >= 2 and all("ETA" in line for line in lines[:-1])
     assert lines[-2].startswith("b-irregularity: 107/107 primes,") and lines[-2].endswith("ETA 0.0s")
-
-
-def test_cli_wieferich(capsys):
-    assert cli_main(["wieferich", "--ell", "2", "--limit", "10000"]) == 0
-    assert capsys.readouterr().out.strip() == "1093 3511"
-
-
-def test_cli_bernoulli_genocchi(capsys):
-    assert cli_main(["bernoulli", "--n", "12"]) == 0
-    assert capsys.readouterr().out.strip() == "-691/2730"
-    assert cli_main(["genocchi", "--ell", "3", "--n", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "-4"
 
 
 def test_negative_threads_rejected_before_any_prime(tmp_cache, monkeypatch):
