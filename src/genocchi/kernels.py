@@ -25,13 +25,20 @@ i*(2n-1) = (i+n)(i+n-1) - i**2 - n(n-1) turns it into one correlation:
 the route of Buhler, Crandall, Ernvall and Metsankyla (Math. Comp. 1993) and
 Buhler and Harvey (Math. Comp. 2011) to the irregular primes.
 
-Exactness: the correlation is computed with numpy's float64 `rfft`/`irfft`
-on residues below p, by one of two rules chosen from p alone:
+Exactness: every operand of the correlation is a balanced residue, in
+[-(p-1)/2, (p-1)/2]. The power table g**e is balanced once (its second half is
+the negation of its first, as g**(e+h) = -g**e), so j = |g**i| and
+e_i = sign(g**i) are read from it, and the chirped coefficients
+a_i * g**(-i**2) are balanced after their one reduction mod p. The correlation
+is computed with numpy's float64 `rfft`/`irfft` by one of two rules chosen from
+p alone:
 
-- p < _ONE_LIMB_PRIME = 2**14: one unsplit product, irfft(rfft(x) * rfft(y));
-- 2**14 <= p <= MAX_KERNEL_PRIME < 2**18: each residue splits into two 9-bit
-  limbs, and the three limb products (lo*lo, lo*hi + hi*lo, hi*hi) are rounded
-  one by one.
+- p < _ONE_LIMB_PRIME = 2**15: one unsplit product, irfft(rfft(x) * rfft(y))
+  (three transforms);
+- 2**15 <= p <= MAX_KERNEL_PRIME < 2**18: x alone splits into two balanced
+  9-bit limbs, x = hi * 2**9 + lo with lo in [-256, 256), and each limb is
+  multiplied by the whole y (three forward and two inverse transforms); the
+  two rounded products are combined with one reduction mod p.
 
 Percival (Rapid multiplication modulo the sum and difference of highly
 composite numbers, Math. Comp. 72, 2003) bounds the error of a float64 FFT
@@ -40,20 +47,20 @@ product of length 2**n by
     ||x|| * ||y|| * ((1+eps)**(3n) * (1+eps*sqrt(5))**(3n+1) * (1+beta)**(3n) - 1)
 
 with eps = 2**-53 and twiddle-factor error beta = eps/sqrt(2). With
-||x|| <= sqrt(h)*(p-1), ||y|| <= sqrt(p-2)*(p-1) and n = ceil(log2 N) for
-the transform length N, the one-limb bound is 0.058 at p = 16381, the largest
-prime below 2**14 (and 0.50 at p = 32749, so the limit cannot double). With
-limbs of at most 511, the two-limb bound at p = 249989 is 0.0021 for the mid
-product (a sum of two products) and at most 0.0011 for the others. All stay
-under the kernel's 1/4 rounding guard (below 1/2 would already round right);
-test_limb_split_within_written_bound in tests/test_kernels.py evaluates them.
-The theorem covers radix-2 complex transforms, and pocketfft's real
-mixed-radix transforms of length 2**a * 3**b * 5**c lie outside it, so the
-kernel also checks that each transformed value lies within 1/4 of an integer
-before rounding, and raises ArithmeticError otherwise: it never returns a
-wrong residue silently. Both rules give bit-identical residues on every prime
-below 2**14. The tests compare the kernel bit for bit with a direct O(p**2)
-evaluation, `power_sums_direct` in tests/oracles.py.
+||x|| <= sqrt(h)*x_max, ||y|| <= sqrt(p-2)*h and n = ceil(log2 N) for the
+transform length N, the one-limb bound (x_max = h) is 0.124 at p = 32749, the
+largest prime below 2**15; residues in [0, p) would give four times as much,
+0.495. At p = 249989 the limb bounds are 0.135 for lo (x_max = 256) and 0.129
+for hi (x_max = 244). All stay under the kernel's 1/4 rounding guard (below
+1/2 would already round right); test_limb_split_within_written_bound in
+tests/test_kernels.py evaluates them. The theorem covers radix-2 complex
+transforms, and pocketfft's real mixed-radix transforms of length
+2**a * 3**b * 5**c lie outside it, so the kernel also checks that each
+transformed value lies within 1/4 of an integer before rounding, and raises
+ArithmeticError otherwise: it never returns a wrong residue silently. Both
+rules give bit-identical residues on every prime below 2**15. The tests
+compare the kernel bit for bit with a direct O(p**2) evaluation,
+`power_sums_direct` in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -68,15 +75,14 @@ __all__ = [
     "power_sums",
 ]
 
-#: largest supported prime: residues must split into two 9-bit limbs
+#: largest supported prime: one balanced operand splits into two 9-bit limbs
 MAX_KERNEL_PRIME = 250_000
 #: below this prime one unsplit float64 product is exact (see the module docstring)
-_ONE_LIMB_PRIME = 1 << 14
+_ONE_LIMB_PRIME = 1 << 15
 
 _LIMB_BITS = 9
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 #: the kernel's name and limb rule, as benchmark runs record it
-_KERNEL_NAME = f"chirp, one limb below 2^14, two {_LIMB_BITS}-bit limbs from 2^14"
+_KERNEL_NAME = f"chirp, balanced, one limb below 2^15, x in two {_LIMB_BITS}-bit limbs from 2^15"
 #: largest accepted distance from an integer before rounding a transform value
 _MAX_ROUNDING_ERROR = 0.25
 
@@ -94,24 +100,22 @@ def power_sums(p: int, mult: int) -> np.ndarray:
         raise ValueError(f"p={p} exceeds the kernel exactness bound {MAX_KERNEL_PRIME}")
     if mult % p == 0:
         raise ValueError(f"mult must be prime to p, got mult={mult} for p={p}")
+    mult %= p  # S(2n) depends on mult mod p only, and now |c_j| < p
     half = (p - 1) // 2
     if half < 2:
         return np.empty(0, dtype=np.int64)
     order = p - 1
-    pw = _powers(primitive_root(p), order, p)  # pw[e] = g**e; raises for composite p
-    u = pw[:half].copy()
-    flip = u > half
-    np.subtract(p, u, out=u, where=flip)  # j = |g**i| in [1, half]
+    pw = _balanced_powers(primitive_root(p), p)  # pw[e] = g**e; raises for composite p
+    u = np.abs(pw[:half])  # j = |g**i| in [1, half]
     u *= mult
     u //= p
     u *= 2
     u += 1 - mult  # c_j
-    u %= p
-    np.negative(u, out=u, where=flip)  # a_i = e_i * c_j, reduced below
-    del flip
+    u *= np.sign(pw[:half])  # a_i = e_i * c_j
     # pw[-e] = g**(order - e) = g**-e for 0 <= e < order
     u *= pw[-_exponents(half, 0, order)]
     u %= p
+    _balance(u, p)  # like every entry of pw
     chirp = _exponents(p - 2, 1, order)  # t(t-1): for v_t, and for n(n-1) at n < half
     v = pw[chirp]
     # w_n = sum_i u_i v_(i+n) sits at index n + half - 1 of conv(u reversed, v)
@@ -129,16 +133,30 @@ def _exponents(stop: int, shift: int, order: int) -> np.ndarray:
     return e
 
 
-def _powers(g: int, count: int, p: int) -> np.ndarray:
-    """g**e mod p for e = 0 .. count-1, by doubling blocks."""
-    out = np.empty(count, dtype=np.int64)
+def _balanced_powers(g: int, p: int) -> np.ndarray:
+    """g**e mod p for e = 0 .. p-2 as balanced residues in [-(p-1)/2, (p-1)/2].
+
+    Only the first half is multiplied out, by doubling blocks; g**((p-1)/2) = -1
+    gives the second half as its negation.
+    """
+    half = (p - 1) // 2
+    out = np.empty(p - 1, dtype=np.int64)
     out[0] = 1
     filled = 1
-    while filled < count:
-        step = min(filled, count - filled)
-        out[filled : filled + step] = out[:step] * pow(g, filled, p) % p
+    while filled < half:
+        step = min(filled, half - filled)
+        block = out[filled : filled + step]
+        np.multiply(out[:step], pow(g, filled, p), out=block)
+        block %= p
         filled += step
+    _balance(out[:half], p)
+    np.negative(out[:half], out=out[half:])
     return out
+
+
+def _balance(r: np.ndarray, p: int) -> None:
+    """Move residues in [0, p) to the balanced range [-(p-1)/2, (p-1)/2], in place."""
+    r -= (r > p // 2) * p
 
 
 def _convolve_mod(x: np.ndarray, y: np.ndarray, p: int, start: int, stop: int) -> np.ndarray:
@@ -146,9 +164,10 @@ def _convolve_mod(x: np.ndarray, y: np.ndarray, p: int, start: int, stop: int) -
 
     The cyclic length only has to hold y: every wanted index m >= len(x) - 1
     sums x[t] * y[m - t] with 0 <= m - t < len(y), so nothing wraps onto it.
-    Operands are residues mod p. Below _ONE_LIMB_PRIME they are multiplied
-    whole (three transforms); from there on they split into 9-bit limbs
-    (seven transforms, at most four spectra alive at a time).
+    Operands are balanced residues mod p. Below _ONE_LIMB_PRIME they are
+    multiplied whole (three transforms); from there on x splits into two
+    balanced 9-bit limbs, each multiplied by the whole y (five transforms, at
+    most two spectra alive at a time).
     """
     length = _fast_length(max(len(y), stop))
     rfft, irfft = np.fft.rfft, np.fft.irfft
@@ -162,28 +181,26 @@ def _convolve_mod(x: np.ndarray, y: np.ndarray, p: int, start: int, stop: int) -
             raise ArithmeticError(
                 f"FFT rounding error {err:.3g} exceeds {_MAX_ROUNDING_ERROR} at p={p}"
             )
-        return rounded.astype(np.int64) % p
+        return rounded.astype(np.int64)
 
+    y_hat = rfft(y, length)
     if p < _ONE_LIMB_PRIME:
-        spectrum = rfft(x, length)
-        spectrum *= rfft(y, length)
-        return exact(spectrum)
-    x_lo = rfft(x & _LIMB_MASK, length)
-    y_lo = rfft(y & _LIMB_MASK, length)
-    lo = exact(x_lo * y_lo)
-    x_hi = rfft(x >> _LIMB_BITS, length)
-    mid = y_lo
-    mid *= x_hi
-    y_hi = rfft(y >> _LIMB_BITS, length)
-    x_lo *= y_hi
-    mid += x_lo
-    del x_lo
-    x_hi *= y_hi
-    del y_hi
-    hi = exact(x_hi)
-    del x_hi
-    mid = exact(mid)
-    return (hi * pow(2, 2 * _LIMB_BITS, p) + mid * (1 << _LIMB_BITS) + lo) % p
+        y_hat *= rfft(x, length)
+        return exact(y_hat) % p
+    lo, hi = _limbs(x)
+    lo_hat = rfft(lo, length)
+    lo_hat *= y_hat
+    lo = exact(lo_hat)
+    del lo_hat
+    y_hat *= rfft(hi, length)
+    return (exact(y_hat) * (1 << _LIMB_BITS) + lo) % p
+
+
+def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced 9-bit limbs (lo, hi) of x: x = hi * 2**9 + lo with lo in [-256, 256)."""
+    hi = x + (1 << (_LIMB_BITS - 1))
+    hi >>= _LIMB_BITS
+    return x - (hi << _LIMB_BITS), hi
 
 
 def _fast_length(n: int) -> int:

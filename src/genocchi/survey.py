@@ -73,8 +73,9 @@ CACHE_ENV = "GENOCCHI_CACHE_DIR"
 #: unexpanded: resolve_cache_dir expands it, and so needs a home, only when it is used
 DEFAULT_CACHE_DIR = Path("~/.cache/genocchi")
 #: first line of every cache file; see ClassificationCache for when to bump it.
-#: It names the residues the rows hold: both limb rules of `kernels` give the same
-#: residues, so it keeps the name of the two-limb kernel that first wrote them.
+#: It names the residues the rows hold: both limb rules of `kernels`, on balanced
+#: operands, give the residues of the two-limb kernel that first wrote them, so it
+#: keeps that kernel's name.
 CACHE_HEADER = "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
 
 #: B-stage tasks per worker process: enough to even out the load, few enough that

@@ -10,18 +10,20 @@ from genocchi.modarith import primitive_root, sieve_primes
 from oracles import power_sums_direct
 
 PRIMES = [int(p) for p in sieve_primes(2000)[2:]]  # odd primes >= 5
-LARGE_PRIMES = [20011, 29989, 39989]  # from the large_prime benchmark stratum
+LARGE_PRIMES = [20011, 29989, 32749, 32771, 39989]  # large_prime stratum; both sides of 2**15
 
 
 def test_half_coefficients_fold_the_full_sum():
-    # the kernel's half-range fold against the unfolded Voronoi sum over j < p
-    for p in (7, 11, 37, 101):
-        for mult in (primitive_root(p), 2, 3):
-            full = [
-                sum(pow(j, 2 * n - 1, p) * (j * mult // p) for j in range(1, p)) % p
-                for n in range(1, (p - 1) // 2)
-            ]
-            assert power_sums(p, mult).tolist() == full, (p, mult)
+    # the kernel's half-range fold against the unfolded Voronoi sum over j < p, in Python ints.
+    # mult + p adds sum_{j<p} j**(2n) = 0 mod p, so multipliers past int64 must reduce mod p
+    # (power_sums_direct multiplies mult in int64 too, so it cannot be the oracle for them)
+    cases = [(p, mult) for p in (7, 11, 37, 101) for mult in (primitive_root(p), 2, 3)]
+    for p, mult in cases + [(101, 2**62 + 1), (101, 2**70 + 3)]:
+        full = [
+            sum(pow(j, 2 * n - 1, p) * (j * mult // p) for j in range(1, p)) % p
+            for n in range(1, (p - 1) // 2)
+        ]
+        assert power_sums(p, mult).tolist() == full, (p, mult)
 
 
 def test_power_sums_match_the_direct_sums():
@@ -52,7 +54,7 @@ def test_power_sums_rejects_composite_modulus():
 
 def test_power_sums_raises_when_rounding_margin_is_exceeded(monkeypatch):
     monkeypatch.setattr(kernels, "_MAX_ROUNDING_ERROR", -1.0)
-    one_limb, two_limbs = 101, 20011
+    one_limb, two_limbs = 101, 39989
     assert one_limb < kernels._ONE_LIMB_PRIME <= two_limbs
     for p in (one_limb, two_limbs):
         with pytest.raises(ArithmeticError):
@@ -60,27 +62,29 @@ def test_power_sums_raises_when_rounding_margin_is_exceeded(monkeypatch):
 
 
 def test_one_limb_matches_two_limbs(monkeypatch):
-    # every prime the one-limb rule serves, against the two-limb rule forced on it
+    # primes the one-limb rule serves, against the two-limb rule forced on them: every
+    # prime below 2**14, then every 8th prime and both end primes up to _ONE_LIMB_PRIME
     primes = [int(p) for p in sieve_primes(kernels._ONE_LIMB_PRIME - 1)[2:]]
+    upper = [p for p in primes if p >= 1 << 14]
+    primes = [p for p in primes if p < 1 << 14] + upper[:-1:8] + upper[-1:]
     one_limb = [power_sums(p, primitive_root(p)) for p in primes]
     monkeypatch.setattr(kernels, "_ONE_LIMB_PRIME", 0)
     for p, sums in zip(primes, one_limb):
         assert np.array_equal(sums, power_sums(p, primitive_root(p))), p
 
 
-def _percival_factor(length: int, additions: int = 0) -> float:
+def _percival_factor(length: int) -> float:
     """Percival (Math. Comp. 72, 2003): the error of a float64 FFT product over ||x|| * ||y||.
 
     The length is taken as the next power of two, eps = 2**-53 and the
-    twiddle-factor error beta = eps / sqrt(2). Each spectral addition of two
-    products before the inverse transform is one more factor 1 + eps. log1p
-    and expm1 keep the (1 + tiny)**k - 1 digits that float powers round away.
+    twiddle-factor error beta = eps / sqrt(2). log1p and expm1 keep the
+    (1 + tiny)**k - 1 digits that float powers round away.
     """
     n = math.ceil(math.log2(length))
     eps = 2.0**-53
     beta = eps / math.sqrt(2)
     log_growth = (
-        (3 * n + additions) * math.log1p(eps)
+        3 * n * math.log1p(eps)
         + (3 * n + 1) * math.log1p(eps * math.sqrt(5))
         + 3 * n * math.log1p(beta)
     )
@@ -88,21 +92,22 @@ def _percival_factor(length: int, additions: int = 0) -> float:
 
 
 def test_limb_split_within_written_bound():
-    # ||x|| <= sqrt(h) * x_max over h = (p-1)/2 entries, ||y|| <= sqrt(p-2) * y_max
-    def norm_product(p: int, x_max: int, y_max: int) -> float:
-        return math.sqrt((p - 1) // 2) * x_max * math.sqrt(p - 2) * y_max
+    # balanced operands: ||x|| <= sqrt(h) * x_max over h = (p-1)/2 entries, ||y|| <= sqrt(p-2) * h
+    def bound(p: int, x_max: int) -> float:
+        h = (p - 1) // 2
+        norms = math.sqrt(h) * x_max * math.sqrt(p - 2) * h
+        return norms * _percival_factor(kernels._fast_length(p - 2))
 
-    p = int(sieve_primes(kernels._ONE_LIMB_PRIME - 1)[-1])  # 16381
-    one_limb = norm_product(p, p - 1, p - 1) * _percival_factor(kernels._fast_length(p - 2))
+    p = int(sieve_primes(kernels._ONE_LIMB_PRIME - 1)[-1])  # 32749
+    one_limb = bound(p, (p - 1) // 2)
     assert one_limb < kernels._MAX_ROUNDING_ERROR, (p, one_limb)
 
     p = int(sieve_primes(MAX_KERNEL_PRIME)[-1])  # 249989
-    lo, hi = kernels._LIMB_MASK, (p - 1) >> kernels._LIMB_BITS
-    length = kernels._fast_length(p - 2)
+    h = (p - 1) // 2
+    lo, hi = kernels._limbs(np.arange(-h, h + 1))
+    assert np.array_equal(hi * 2**kernels._LIMB_BITS + lo, np.arange(-h, h + 1))
     limb_products = {
-        "lo*lo": norm_product(p, lo, lo) * _percival_factor(length),
-        # two products added in the spectrum before one inverse transform
-        "lo*hi + hi*lo": 2 * norm_product(p, lo, hi) * _percival_factor(length, additions=1),
-        "hi*hi": norm_product(p, hi, hi) * _percival_factor(length),
+        "lo": bound(p, int(np.abs(lo).max())),
+        "hi": bound(p, int(np.abs(hi).max())),
     }
     assert max(limb_products.values()) < kernels._MAX_ROUNDING_ERROR, (p, limb_products)

@@ -210,7 +210,9 @@ def test_cache_write_is_atomic(tmp_cache, monkeypatch):
 def test_cache_header_names_the_kernel():
     # caches written under this header must keep loading: change it only with the rows
     assert CACHE_HEADER == "# genocchi cache v2 (kernel: chirp, two 9-bit limbs)"
-    assert active_backend() == "chirp, one limb below 2^14, two 9-bit limbs from 2^14"
+    assert active_backend() == (
+        "chirp, balanced, one limb below 2^15, x in two 9-bit limbs from 2^15"
+    )
 
 
 @pytest.mark.parametrize("row", ["37,0,32", "37,1,", "37,2,32", "37,0", "37,1,32;;36"])
