@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import MAX_KERNEL_PRIME, power_sums
-from .modarith import is_prime, mult_orders, primitive_root, sieve_primes
+from .modarith import is_prime, mult_orders, sieve_primes
 
 __all__ = [
     "PrimeClassification",
@@ -57,13 +57,13 @@ class PrimeClassification:
 def b_irregular_pairs(p: int) -> tuple[int, ...]:
     """All even 2n in [2, p-3] whose Bernoulli numerator is divisible by p, ascending.
 
-    Uses the Voronoi congruence with a primitive root g in place of the
-    multiplier, so the (1 - g**2n) factor is a unit for every index in range
-    and p | B_2n collapses to a vanishing power sum mod p.
+    Uses the Voronoi congruence at the multiplier `power_sums(p)` chooses, a
+    primitive root g, so the (1 - g**2n) factor is a unit for every index in
+    range and p | B_2n collapses to a vanishing power sum mod p.
     """
     if p < 5:
         raise ValueError(f"p must be a prime >= 5, got {p}")
-    sums = power_sums(p, primitive_root(p))  # raises for a composite p
+    sums = power_sums(p)  # raises for a composite p
     return tuple(2 * (int(i) + 1) for i in np.flatnonzero(sums == 0))
 
 
@@ -154,12 +154,13 @@ def wieferich_search(ell: int, limit: int, variant: str = "base") -> list[int]:
         if ell % p == 0:
             continue
         psq = p * p
+        r = pow(ell, (p - 1) // 2, psq)  # ell**(p-1) = r**2
         if variant == "base":
-            ok = pow(ell, p - 1, psq) == 1
+            ok = r * r % psq == 1
         elif variant == "minus":
-            ok = pow(ell, (p - 1) // 2, psq) == 1
+            ok = r == 1
         else:
-            ok = pow(ell, (p - 1) // 2, psq) == psq - 1
+            ok = r == psq - 1
         if ok:
             hits.append(p)
     return hits

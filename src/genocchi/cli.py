@@ -50,7 +50,7 @@ _DENSITY_KINDS = {
 
 def _parse_progression(text: str) -> tuple[int, int]:
     try:
-        d_str, a_str = text.replace(":", ",").split(",")
+        d_str, a_str = text.split(",")
         return int(d_str), int(a_str)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(

@@ -1,17 +1,17 @@
 """Batched modular power sums: one exact O(p log p) chirp-convolution kernel.
 
-The workhorse is `power_sums(p, mult)`: for an odd prime p and a Voronoi
-multiplier mult prime to p it returns
+The workhorse is `power_sums(p)`: for an odd prime p and its least primitive
+root g it returns the Voronoi sums at the multiplier g,
 
-    S(2n) = sum_{j=1}^{p-1} j**(2n-1) * floor(j*mult/p)  mod p
-                                                  for 2n = 2, 4, ..., p-3.
+    S(2n) = sum_{j=1}^{p-1} j**(2n-1) * floor(j*g/p)  mod p
+                                               for 2n = 2, 4, ..., p-3.
 
 Pairing j with p - j folds it onto the half range j <= h = (p-1)/2: the
-exponent is odd and floor((p-j)*mult/p) = mult - 1 - floor(j*mult/p), so
+exponent is odd and floor((p-j)*g/p) = g - 1 - floor(j*g/p), so
 
-    S(2n) = sum_{j<=h} c_j * j**(2n-1),   c_j = 2*floor(j*mult/p) - mult + 1.
+    S(2n) = sum_{j<=h} c_j * j**(2n-1),   c_j = 2*floor(j*g/p) - g + 1.
 
-Fix a primitive root g. Every j in [1, h] is e_i * g**i
+The same g generates the DFT. Every j in [1, h] is e_i * g**i
 for exactly one i in [0, h) and one sign e_i = +-1, because g**(i+h) = -g**i.
 The exponent 2n-1 is odd, so with a_i = e_i * c_j the sums become
 
@@ -92,25 +92,23 @@ def active_backend() -> str:
     return _KERNEL_NAME
 
 
-def power_sums(p: int, mult: int) -> np.ndarray:
-    """The Voronoi sums S(2n) mod p for 2n = 2 .. p-3, by one exact chirp convolution."""
+def power_sums(p: int) -> np.ndarray:
+    """S(2n) mod p at the multiplier g for 2n = 2 .. p-3, by one exact chirp convolution."""
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     if p > MAX_KERNEL_PRIME:
         raise ValueError(f"p={p} exceeds the kernel exactness bound {MAX_KERNEL_PRIME}")
-    if mult % p == 0:
-        raise ValueError(f"mult must be prime to p, got mult={mult} for p={p}")
-    mult %= p  # S(2n) depends on mult mod p only, and now |c_j| < p
     half = (p - 1) // 2
     if half < 2:
         return np.empty(0, dtype=np.int64)
     order = p - 1
-    pw = _balanced_powers(primitive_root(p), p)  # pw[e] = g**e; raises for composite p
+    g = primitive_root(p)  # raises for composite p; 1 < g < p, so |c_j| < p
+    pw = _balanced_powers(g, p)  # pw[e] = g**e
     u = np.abs(pw[:half])  # j = |g**i| in [1, half]
-    u *= mult
+    u *= g
     u //= p
     u *= 2
-    u += 1 - mult  # c_j
+    u += 1 - g  # c_j
     u *= np.sign(pw[:half])  # a_i = e_i * c_j
     # pw[-e] = g**(order - e) = g**-e for 0 <= e < order
     u *= pw[-_exponents(half, 0, order)]

@@ -42,7 +42,8 @@ Classification (checks of `classify`):
 Kernel and emission:
   power_sums_direct         the Voronoi power sums evaluated directly in
                             O(p**2), folded by pairing j with p - j:
-                            `kernels.power_sums` must equal it bit for bit
+                            `kernels.power_sums(p)` must equal it bit for
+                            bit at mult = primitive_root(p)
   parse_rows_csv            `emit_table` CSV read back into SurveyRows, for
                             the round-trip tests
 
@@ -427,10 +428,13 @@ def power_sums_direct(p: int, mult: int) -> np.ndarray:
 
     The oracle for `kernels.power_sums`. Terms j and p - j share one power up
     to sign, so the half-range coefficient of j is the difference of their
-    floors; the sums are then exact in uint64.
+    floors; the sums are then exact in uint64. The floors are taken in int64,
+    so (p-1) * |mult| must stay below 2**63.
     """
     if p % 2 == 0 or not 3 <= p < 2**18:
         raise ValueError(f"p must be odd and in [3, 2**18), got {p}")
+    if (p - 1) * abs(mult) >= 2**63:
+        raise ValueError(f"(p-1)*|mult| must be below 2**63, got p={p} and mult={mult}")
     j = np.arange(1, (p + 1) // 2, dtype=np.int64)
     c = (((j * mult) // p - ((p - j) * mult) // p) % p).astype(np.uint64)
     j = j.astype(np.uint64)

@@ -16,7 +16,9 @@ and their scopes:
   6  oracle equivalence for bases 2, 3, 5 and odd p < 500 unless stated:
      (a) the G, H- and H+ flags of `classify_prime` against the
          exact-Bernoulli scans of `exact_irregular_flags`;
-     (b) the kernel's Voronoi residues against exact H-values, and the direct
+     (b) Voronoi residues against exact H-values: the direct sums
+         `power_sums_direct` at base ell, the kernel's own `power_sums(p)`
+         at its multiplier g for every prime 5 <= p < 500, and the direct
          `voronoi_h` form for p < 300;
      (c) `valuation_h` against exact valuations where (p-1) | 2n, n <= 300;
      (d) the Kummer congruences with both subscripts <= 800, and the Lehmer
@@ -58,7 +60,7 @@ from genocchi.density import (
 )
 from genocchi.exactseq import bernoulli
 from genocchi.kernels import power_sums
-from genocchi.modarith import jacobi, mult_order, sieve_primes
+from genocchi.modarith import jacobi, mult_order, primitive_root, sieve_primes
 
 from density_oracles import (
     delta_g_alt,
@@ -75,6 +77,7 @@ from oracles import (
     h_value,
     kummer_check,
     order_criterion_oracle,
+    power_sums_direct,
     series_inverse,
     tangent_number,
     tangent_series,
@@ -287,18 +290,19 @@ def test_criterion_6_oracle_equivalence(bernoulli_800):
             if flags != exact_irregular_flags(ell, p):
                 failures.append(("a", ell, p))
 
-    # (b) Voronoi residues vs exact H-values on the whole valid domain
+    # (b) Voronoi residues vs exact H-values on the whole valid domain: the direct
+    # sums at base ell, and the kernel's own sums at its multiplier g
     for p in ODD_PRIMES_500:
-        for ell in (2, 3, 5):
-            if p == ell:
-                continue
-            sums = power_sums(p, ell) if p >= 5 else []
+        bases = [("b", ell, power_sums_direct(p, ell)) for ell in (2, 3, 5) if ell != p]
+        if p >= 5:
+            bases.append(("b-kernel", primitive_root(p), power_sums(p)))
+        for tag, ell, sums in bases:
             for n in range(1, (p - 1) // 2):
                 if (2 * n) % (p - 1) == 0:
                     continue
                 residue = (-pow(ell, 2 * n - 1, p) * int(sums[n - 1])) % p
                 if residue != frac_mod(h_value(ell, 2 * n, "full"), p):
-                    failures.append(("b", ell, p, n))
+                    failures.append((tag, ell, p, n))
         if p < 300:  # direct single-call form on the smaller primes
             for ell in (2, 3, 5):
                 if p == ell:

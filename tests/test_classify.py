@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from genocchi.classify import (
 )
 from genocchi.exactseq import ConsistencyError
 from genocchi.kernels import MAX_KERNEL_PRIME
-from genocchi.modarith import is_prime, mult_order, sieve_primes
+from genocchi.modarith import is_prime, mult_order, primitive_root, sieve_primes
 
 from oracles import (
     divides_sequence,
@@ -44,6 +45,25 @@ def test_b_irregular_pairs_against_exact_bernoulli(bernoulli_800):
             continue
         got = list(b_irregular_pairs(p))
         assert got == exact_b_irregular_indices(p), p
+
+
+def test_b_irregular_pairs_computes_one_primitive_root(monkeypatch):
+    # the kernel's DFT generator is also its Voronoi multiplier: one root per prime,
+    # counted through every genocchi module's binding of primitive_root
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return primitive_root(p)
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "genocchi"]
+    for module in modules:
+        if hasattr(module, "primitive_root"):
+            monkeypatch.setattr(module, "primitive_root", counting)
+    primes = [5, 37, 101, 20011]
+    for p in primes:
+        b_irregular_pairs(p)
+    assert calls == primes
 
 
 def test_b_irregular_pairs_domain():

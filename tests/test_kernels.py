@@ -13,43 +13,43 @@ PRIMES = [int(p) for p in sieve_primes(2000)[2:]]  # odd primes >= 5
 LARGE_PRIMES = [20011, 29989, 32749, 32771, 39989]  # large_prime stratum; both sides of 2**15
 
 
+def _full_sums(p: int, mult: int) -> list[int]:
+    """The unfolded Voronoi sums over j < p, in Python ints."""
+    return [
+        sum(pow(j, 2 * n - 1, p) * (j * mult // p) for j in range(1, p)) % p
+        for n in range(1, (p - 1) // 2)
+    ]
+
+
 def test_half_coefficients_fold_the_full_sum():
-    # the kernel's half-range fold against the unfolded Voronoi sum over j < p, in Python ints.
-    # mult + p adds sum_{j<p} j**(2n) = 0 mod p, so multipliers past int64 must reduce mod p
-    # (power_sums_direct multiplies mult in int64 too, so it cannot be the oracle for them)
-    cases = [(p, mult) for p in (7, 11, 37, 101) for mult in (primitive_root(p), 2, 3)]
-    for p, mult in cases + [(101, 2**62 + 1), (101, 2**70 + 3)]:
-        full = [
-            sum(pow(j, 2 * n - 1, p) * (j * mult // p) for j in range(1, p)) % p
-            for n in range(1, (p - 1) // 2)
-        ]
-        assert power_sums(p, mult).tolist() == full, (p, mult)
+    # the kernel's half-range fold against the unfolded sum at its multiplier g
+    for p in (7, 11, 37, 101):
+        assert power_sums(p).tolist() == _full_sums(p, primitive_root(p)), p
 
 
 def test_power_sums_match_the_direct_sums():
-    # the chirp-convolution kernel against the direct O(p^2) evaluation
+    # the chirp-convolution kernel against the direct O(p^2) evaluation at g
     for p in PRIMES + LARGE_PRIMES:
-        g = primitive_root(p)
-        assert np.array_equal(power_sums(p, g), power_sums_direct(p, g)), p
-    for p in PRIMES[::10]:
-        for mult in (2, 3):
-            assert np.array_equal(power_sums(p, mult), power_sums_direct(p, mult)), (p, mult)
+        assert np.array_equal(power_sums(p), power_sums_direct(p, primitive_root(p))), p
+    # the oracle takes its floors in int64: exact up to the largest multiplier it
+    # accepts, and it refuses any larger one instead of overflowing
+    p, top = 101, (2**63 - 1) // 100
+    assert power_sums_direct(p, top).tolist() == _full_sums(p, top)
+    for mult in (top + 1, -(top + 1), 2**62 + 1, 2**70 + 3):
+        with pytest.raises(ValueError, match="below 2"):
+            power_sums_direct(p, mult)
 
 
 def test_power_sums_arg_validation():
     with pytest.raises(ValueError, match="odd prime"):
-        power_sums(8, 3)
+        power_sums(8)
     with pytest.raises(ValueError, match="exactness bound"):
-        power_sums(MAX_KERNEL_PRIME + 1, 2)  # odd, so the bound check is what rejects it
-    # the fold floor((p-j)*mult/p) = mult - 1 - floor(j*mult/p) needs p not to divide mult
-    for p, mult in ((7, 7), (11, 22), (13, 13)):
-        with pytest.raises(ValueError, match="prime to p"):
-            power_sums(p, mult)
+        power_sums(MAX_KERNEL_PRIME + 1)  # odd, so the bound check is what rejects it
 
 
 def test_power_sums_rejects_composite_modulus():
     with pytest.raises(ValueError):
-        power_sums(15, 2)
+        power_sums(15)
 
 
 def test_power_sums_raises_when_rounding_margin_is_exceeded(monkeypatch):
@@ -58,7 +58,7 @@ def test_power_sums_raises_when_rounding_margin_is_exceeded(monkeypatch):
     assert one_limb < kernels._ONE_LIMB_PRIME <= two_limbs
     for p in (one_limb, two_limbs):
         with pytest.raises(ArithmeticError):
-            power_sums(p, primitive_root(p))
+            power_sums(p)
 
 
 def test_one_limb_matches_two_limbs(monkeypatch):
@@ -67,10 +67,10 @@ def test_one_limb_matches_two_limbs(monkeypatch):
     primes = [int(p) for p in sieve_primes(kernels._ONE_LIMB_PRIME - 1)[2:]]
     upper = [p for p in primes if p >= 1 << 14]
     primes = [p for p in primes if p < 1 << 14] + upper[:-1:8] + upper[-1:]
-    one_limb = [power_sums(p, primitive_root(p)) for p in primes]
+    one_limb = [power_sums(p) for p in primes]
     monkeypatch.setattr(kernels, "_ONE_LIMB_PRIME", 0)
     for p, sums in zip(primes, one_limb):
-        assert np.array_equal(sums, power_sums(p, primitive_root(p))), p
+        assert np.array_equal(sums, power_sums(p)), p
 
 
 def _percival_factor(length: int) -> float:

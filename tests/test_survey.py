@@ -673,9 +673,13 @@ def test_cli_table_small(tmp_cache, capsys):
 
 
 def test_cli_usage_error_exit_2():
-    with pytest.raises(SystemExit) as info:
-        cli_main(["survey", "--bogus"])
-    assert info.value.code == 2
+    for argv in (
+        ["survey", "--bogus"],
+        ["survey", "--ell", "3", "--x", "1000", "--progression", "4:1"],  # D,A is the one form
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv)
+        assert info.value.code == 2, argv
 
 
 def test_cli_computation_error_exit_1(capsys):
@@ -694,3 +698,23 @@ def test_cli_help_exits_zero():
     with pytest.raises(SystemExit) as info:
         cli_main(["--help"])
     assert info.value.code == 0
+
+
+def test_readme_names_every_cli_option(capsys):
+    # every --option in each subcommand's --help output appears in README.md
+    def help_text(*argv: str) -> str:
+        with pytest.raises(SystemExit) as info:
+            cli_main([*argv, "--help"])
+        assert info.value.code == 0, argv
+        return capsys.readouterr().out
+
+    commands = re.search(r"\{([a-z,]+)\}", help_text()).group(1).split(",")
+    assert {"survey", "table", "classify"} <= set(commands)
+    readme = README.read_text()
+    missing = [
+        (command, option)
+        for command in commands
+        for option in sorted(set(re.findall(r"--[a-z][a-z-]*", help_text(command))))
+        if not re.search(rf"{option}(?![a-z-])", readme)
+    ]
+    assert not missing
