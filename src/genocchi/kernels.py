@@ -25,6 +25,30 @@ i*(2n-1) = (i+n)(i+n-1) - i**2 - n(n-1) turns it into one correlation:
 the route of Buhler, Crandall, Ernvall and Metsankyla (Math. Comp. 1993) and
 Buhler and Harvey (Math. Comp. 2011) to the irregular primes.
 
+Integer work around the transforms. Exponents live mod p-1, and one array
+e_t = t(t-1) mod (p-1) for t < h serves all three factors:
+
+- the pre-twist g**(-i**2), since i**2 = e_i + i, which is below p-1+h and
+  needs one conditional subtract of p-1;
+- the chirp g**(t(t-1)) for t < p-2, whose first h entries are g**e_t. The
+  half-period identity gives the rest: (t+h)(t+h-1) = t(t-1) + 2th + h(h-1),
+  and g**(2h) = 1, g**h = -1, so the second half is (-1)**(h-1) times the first;
+- the closing factor g**(-n(n-1)) = g**(-e_n).
+
+The power table g**e, e < p-1, is built by baby step / giant step: s =
+ceil(sqrt(h)) baby steps g**i (i < s) and ceil(h/s) giant steps g**(k*s), about
+2*sqrt(h) Python products in all, give the first half as one `np.multiply.outer`
+and one reduction; g**(e+h) = -g**e gives the second half as its negation. Each
+int64 product stays far below 2**63 (p < 2**18): the table's products are below
+p**2, the exponents t(t-1) below h**2, and the chirped coefficients satisfy
+|u * pw| < p * h, since |a_i| < p and |g**e| <= h. Every reduction mod p or
+p-1 goes through `_reduce`, which computes r - ((r - low) // m) * m: the
+residue in [low, low + m), with low = 0 for the usual range and low = -h for
+the balanced one. Its values are those of `%`, but numpy divides int64 arrays
+by a scalar with libdivide in `//` and not in `%`, so it runs several times
+faster. None of this changes the correlation's operands, so the bounds below,
+and test_limb_split_within_written_bound that evaluates them, still hold.
+
 Exactness: every operand of the correlation is a balanced residue, in
 [-(p-1)/2, (p-1)/2]. The power table g**e is balanced once (its second half is
 the negation of its first, as g**(e+h) = -g**e), so j = |g**i| and
@@ -65,6 +89,9 @@ compare the kernel bit for bit with a direct O(p**2) evaluation,
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 
 from .modarith import primitive_root
@@ -103,58 +130,68 @@ def power_sums(p: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     order = p - 1
     g = primitive_root(p)  # raises for composite p; 1 < g < p, so |c_j| < p
-    pw = _balanced_powers(g, p)  # pw[e] = g**e
+    pw = _balanced_powers(g, p)  # pw[e] = g**e; pw[-e] = g**(order - e) = g**-e
+    t = np.arange(half, dtype=np.int64)
+    e = t * (t - 1)  # below half**2
+    _reduce(e, order)  # e_t = t(t-1) mod (p-1)
     u = np.abs(pw[:half])  # j = |g**i| in [1, half]
     u *= g
     u //= p
     u *= 2
     u += 1 - g  # c_j
     u *= np.sign(pw[:half])  # a_i = e_i * c_j
-    # pw[-e] = g**(order - e) = g**-e for 0 <= e < order
-    u *= pw[-_exponents(half, 0, order)]
-    u %= p
-    _balance(u, p)  # like every entry of pw
-    chirp = _exponents(p - 2, 1, order)  # t(t-1): for v_t, and for n(n-1) at n < half
-    v = pw[chirp]
+    t += e  # i**2 = e_i + i, below order + half
+    t -= (t >= order) * order
+    u *= pw[-t]  # a_i * g**(-i**2), |u * pw| < p * half
+    _reduce(u, p, -half)  # balanced, like every entry of pw
+    # v_t = g**(t(t-1)) for t < p - 2; v_(t+half) = (-1)**(half-1) * v_t, as g**half = -1
+    v = np.empty(p - 2, dtype=np.int64)
+    np.take(pw, e, out=v[:half])
+    if half % 2:
+        v[half:] = v[: half - 1]
+    else:
+        np.negative(v[: half - 1], out=v[half:])
     # w_n = sum_i u_i v_(i+n) sits at index n + half - 1 of conv(u reversed, v)
     w = _convolve_mod(u[::-1], v, p, half, 2 * half - 1)
-    w *= pw[-chirp[1:half]]
-    w %= p
-    return w
-
-
-def _exponents(stop: int, shift: int, order: int) -> np.ndarray:
-    """t * (t - shift) mod order for t = 0 .. stop-1."""
-    e = np.arange(stop, dtype=np.int64)
-    e *= e - shift
-    e %= order
-    return e
+    w *= pw[-e[1:]]  # g**(-n(n-1)) for n = 1 .. half-1
+    return _reduce(w, p)
 
 
 def _balanced_powers(g: int, p: int) -> np.ndarray:
     """g**e mod p for e = 0 .. p-2 as balanced residues in [-(p-1)/2, (p-1)/2].
 
-    Only the first half is multiplied out, by doubling blocks; g**((p-1)/2) = -1
-    gives the second half as its negation.
+    The first half is one outer product of giant steps g**(k*s) and baby steps
+    g**i, i < s = ceil(sqrt((p-1)/2)), each below p; g**((p-1)/2) = -1 gives the
+    second half as its negation.
     """
     half = (p - 1) // 2
+    step = math.isqrt(half - 1) + 1
+    rows = -(-half // step)
+    baby = [1] * step
+    for i in range(1, step):
+        baby[i] = baby[i - 1] * g % p
+    giant = [1] * rows
+    stride = baby[-1] * g % p
+    for k in range(1, rows):
+        giant[k] = giant[k - 1] * stride % p
     out = np.empty(p - 1, dtype=np.int64)
-    out[0] = 1
-    filled = 1
-    while filled < half:
-        step = min(filled, half - filled)
-        block = out[filled : filled + step]
-        np.multiply(out[:step], pow(g, filled, p), out=block)
-        block %= p
-        filled += step
-    _balance(out[:half], p)
+    block = out[: rows * step].reshape(rows, step)  # rows * step < half + step <= p - 1
+    np.multiply.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64), out=block)
+    _reduce(block, p, -half)  # products below p**2, balanced
     np.negative(out[:half], out=out[half:])
     return out
 
 
-def _balance(r: np.ndarray, p: int) -> None:
-    """Move residues in [0, p) to the balanced range [-(p-1)/2, (p-1)/2], in place."""
-    r -= (r > p // 2) * p
+def _reduce(r: np.ndarray, m: int, low: int = 0) -> np.ndarray:
+    """r mod m in place, as the residues in [low, low + m): r - ((r - low) // m) * m.
+
+    These are the values of (r - low) % m + low. numpy divides int64 by a scalar
+    through libdivide in `//` but not in `%`, so this runs several times faster.
+    """
+    q = (r - low) // m if low else r // m
+    q *= m
+    r -= q
+    return r
 
 
 def _convolve_mod(x: np.ndarray, y: np.ndarray, p: int, start: int, stop: int) -> np.ndarray:
@@ -184,14 +221,14 @@ def _convolve_mod(x: np.ndarray, y: np.ndarray, p: int, start: int, stop: int) -
     y_hat = rfft(y, length)
     if p < _ONE_LIMB_PRIME:
         y_hat *= rfft(x, length)
-        return exact(y_hat) % p
+        return _reduce(exact(y_hat), p)
     lo, hi = _limbs(x)
     lo_hat = rfft(lo, length)
     lo_hat *= y_hat
     lo = exact(lo_hat)
     del lo_hat
     y_hat *= rfft(hi, length)
-    return (exact(y_hat) * (1 << _LIMB_BITS) + lo) % p
+    return _reduce(exact(y_hat) * (1 << _LIMB_BITS) + lo, p)
 
 
 def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,18 +238,28 @@ def _limbs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x - (hi << _LIMB_BITS), hi
 
 
-def _fast_length(n: int) -> int:
-    """Smallest 2**a * 3**b * 5**c >= n: lengths pocketfft transforms fastest."""
-    best = 1 << max(n - 1, 0).bit_length()
+def _smooth_lengths(limit: int) -> tuple[int, ...]:
+    """Every 2**a * 3**b * 5**c up to the first one >= limit, ascending."""
+    top = 1 << max(limit - 1, 0).bit_length()  # a power of two >= limit
+    out = []
     f5 = 1
-    while f5 < best:
+    while f5 <= top:
         f35 = f5
-        while f35 < best:
+        while f35 <= top:
             f = f35
-            while f < n:
+            while f <= top:
+                out.append(f)
                 f *= 2
-            best = min(best, f)
             f35 *= 3
         f5 *= 5
-    return best
+    out.sort()
+    return tuple(out[: bisect.bisect_left(out, limit) + 1])
 
+
+#: the transform lengths pocketfft runs fastest, up to every length the kernel needs
+_FAST_LENGTHS = _smooth_lengths(MAX_KERNEL_PRIME)
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n: lengths pocketfft transforms fastest."""
+    return _FAST_LENGTHS[bisect.bisect_left(_FAST_LENGTHS, n)]

@@ -40,6 +40,92 @@ def test_power_sums_match_the_direct_sums():
             power_sums_direct(p, mult)
 
 
+def _voronoi_sum(p: int, g: int, n: int) -> int:
+    """S(2n) = sum_{j<=h} c_j * j**(2n-1) mod p at the multiplier g, in O(p) Python ints."""
+    return sum(
+        (2 * (j * g // p) - g + 1) * pow(j, 2 * n - 1, p) for j in range(1, (p - 1) // 2 + 1)
+    ) % p
+
+
+def test_power_sums_at_the_top_of_the_range():
+    # two primes near MAX_KERNEL_PRIME: h = (p-1)/2 even, where the chirp's second half is
+    # the negation of its first, and h odd, where it is a copy; the first, last and four
+    # seeded-random indices against the O(p) sum
+    primes = [int(p) for p in sieve_primes(MAX_KERNEL_PRIME)]
+    top_odd_half = next(p for p in reversed(primes) if p % 4 == 3)
+    rng = np.random.default_rng(249989)
+    for p in (249989, top_odd_half):
+        half = (p - 1) // 2
+        assert (half % 2 == 0) == (p == 249989), p
+        sums, g = power_sums(p), primitive_root(p)
+        assert len(sums) == half - 1
+        for n in [1, half - 1, *(int(n) for n in rng.integers(2, half - 1, 4))]:
+            assert int(sums[n - 1]) == _voronoi_sum(p, g, n), (p, n)
+
+
+def test_power_table_is_balanced_powers_of_g():
+    def balanced(r: int, p: int) -> int:
+        return r - p if r > p // 2 else r
+
+    for p, stride in [(5, 1), (7, 1), (11, 1), (101, 1), (32749, 1), (32771, 1), (249989, 997)]:
+        g, half = primitive_root(p), (p - 1) // 2
+        table = kernels._balanced_powers(g, p)
+        assert table.dtype == np.int64 and len(table) == p - 1, p
+        assert np.array_equal(table[half:], -table[:half]), p
+        exps = range(0, p - 1, stride)
+        assert table[exps].tolist() == [balanced(pow(g, e, p), p) for e in exps], p
+
+
+def test_reduce_matches_python_modulo():
+    rng = np.random.default_rng(5)
+    for p in (5, 101, 32771, 249989):
+        for m in (p, p - 1):
+            edges = [0, 1, -1, m - 1, m, m + 1, -m + 1, -m, -m - 1, p * p, -p * p]
+            r = np.concatenate([np.array(edges), rng.integers(-(p**2), p**2, 1000)])
+            assert np.array_equal(kernels._reduce(r.copy(), m), r % m), (p, m)
+            # the balanced range [-h, h] of p = 2h + 1 is low = -h
+            half = (p - 1) // 2
+            assert np.array_equal(kernels._reduce(r.copy(), p, -half), (r + half) % p - half), p
+
+
+def _fast_length_loop(n: int) -> int:
+    """The former search for the smallest 2**a * 3**b * 5**c >= n."""
+    best = 1 << max(n - 1, 0).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def test_fast_length_table_matches_the_search():
+    # every n <= MAX_KERNEL_PRIME against the next 5-smooth number found by sieving
+    # 2, 3 and 5 out of every integer, and the former loop at both ends of each step
+    top = 2 * MAX_KERNEL_PRIME
+    rest = np.arange(top + 1)
+    for f in (2, 3, 5):
+        while True:
+            divisible = (rest % f == 0) & (rest > 0)
+            if not divisible.any():
+                break
+            rest[divisible] //= f
+    smooth = np.flatnonzero(rest == 1)
+    n = np.arange(MAX_KERNEL_PRIME + 1)
+    table = [kernels._fast_length(int(k)) for k in n]
+    assert np.array_equal(table, smooth[np.searchsorted(smooth, n)])
+    ends = {0, MAX_KERNEL_PRIME}
+    for s in kernels._FAST_LENGTHS:
+        ends.update(k for k in (s, s + 1) if k <= MAX_KERNEL_PRIME)
+    for k in sorted(ends):
+        assert kernels._fast_length(k) == _fast_length_loop(k), k
+
+
 def test_power_sums_arg_validation():
     with pytest.raises(ValueError, match="odd prime"):
         power_sums(8)
