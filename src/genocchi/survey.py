@@ -88,11 +88,10 @@ class SurveyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SurveyConfig:
-    """One survey request, checked whole before any prime is computed.
-
-    It owns its own rules (100 <= x <= MAX_KERNEL_PRIME, threads >= 0, at least one
-    variant and one progression, 1 <= a <= d); density decides which
-    (variant, ell, d, a) rows exist.
+    """One survey request; constructing it checks its own rules and no others:
+    100 <= x <= MAX_KERNEL_PRIME, threads >= 0, at least one variant and one
+    progression, and 1 <= a <= d. Density decides which (variant, ell, d, a)
+    rows exist, and run_survey asks it before any prime is sieved.
     """
 
     ell: int
@@ -115,8 +114,6 @@ class SurveyConfig:
         for d, a in self.progressions:
             if not 1 <= a <= d:
                 raise ValueError(f"progression ({d}, {a}) must have 1 <= a <= d")
-            for variant in self.variants:
-                conjectured_ratio(variant, self.ell, d, a)
 
 
 @dataclass(frozen=True)
@@ -330,7 +327,17 @@ def _ensure_orders(ell: int, primes: np.ndarray, cache: ClassificationCache) -> 
 
 
 def run_survey(config: SurveyConfig) -> list[SurveyRow]:
-    """Classify all primes <= x and build one row per (progression, variant)."""
+    """Classify all primes <= x and build one row per (progression, variant).
+
+    Stages, cheapest first: each row's theoretical columns (density's rules),
+    the sieve, the check that every progression holds a prime, the B-stage,
+    the orders, the flags and the counts.
+    """
+    theory = {  # once per row; density raises here for a row with no closed form
+        (d, a, v): {"conjectured": round(conjectured_ratio(v, config.ell, d, a), 9),
+                    "lower_bound": round(lower_bound_ratio(v, config.ell, d, a), 9)}
+        for d, a in config.progressions for v in config.variants
+    }
     primes = sieve_primes(config.x)
     classes = {(d, a): primes % d == a % d for d, a in config.progressions}
     empty = [f"{a} mod {d}" for (d, a), in_class in classes.items() if not in_class.any()]
@@ -349,20 +356,11 @@ def run_survey(config: SurveyConfig) -> list[SurveyRow]:
         denominator = int(np.count_nonzero(in_class))
         for variant in config.variants:
             count = int(np.count_nonzero(flags[variant] & in_class))
-            rows.append(
-                SurveyRow(
-                    ell=config.ell,
-                    d=d,
-                    a=a,
-                    x=config.x,
-                    count_irregular=count,
-                    count_primes=denominator,
-                    experimental=round(count / denominator, 6),
-                    conjectured=round(conjectured_ratio(variant, config.ell, d, a), 9),
-                    lower_bound=round(lower_bound_ratio(variant, config.ell, d, a), 9),
-                    variant=variant,
-                )
-            )
+            rows.append(SurveyRow(
+                ell=config.ell, d=d, a=a, x=config.x, count_irregular=count,
+                count_primes=denominator, experimental=round(count / denominator, 6),
+                variant=variant, **theory[d, a, variant],
+            ))
     return rows
 
 

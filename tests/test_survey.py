@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures.process
 import dataclasses
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from genocchi import classify as classify_mod
+from genocchi import density as density_mod
 from genocchi import survey as survey_mod
 from genocchi.classify import b_irregular_pairs, classify_prime
 from genocchi.cli import cli_main
@@ -43,30 +45,46 @@ def small_config(tmp_cache, **kw):
 # ---------------------------------------------------------------- config validation
 
 
+#: (request, density's message): the constructor accepts each, and run_survey rejects it
+#: before any prime is sieved. The densities assume a prime base, and H- in progressions
+#: an odd one.
+DENSITY_REJECTS = [
+    ({"ell": 1}, "ell must be a prime, got 1"),
+    ({"ell": 9}, "ell must be a prime, got 9"),
+    ({"variants": ("Q",)}, "kind must be one of ('G', 'Hminus', 'Hplus'), got 'Q'"),
+    ({"progressions": ((4, 2),)}, "a=2 and d=4 must be coprime"),
+    ({"variants": ("Hplus",), "progressions": ((4, 1),)},
+     "Hplus requires d = a = 1 (general progressions unsupported)"),
+    ({"ell": 2, "variants": ("Hminus",), "progressions": ((4, 1),)},
+     "closed form in a progression only covers odd prime bases"),
+]
+
+
 def test_config_validation(tmp_cache, monkeypatch):
-    with pytest.raises(ValueError):
+    # the constructor checks its own rules and calls no density function:
+    # `_canonical` is the first step of every density entry point
+    monkeypatch.setattr(density_mod, "_canonical", _no_recompute)
+    monkeypatch.setattr(survey_mod, "conjectured_ratio", _no_recompute)
+    monkeypatch.setattr(survey_mod, "lower_bound_ratio", _no_recompute)
+    with pytest.raises(ValueError, match="x must be >= 100"):
         SurveyConfig(ell=3, x=50)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         SurveyConfig(ell=3, x=1000, variants=())
-    # no rows at all: nothing would check the base before the B-stage
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-empty"):
         SurveyConfig(ell=9, x=1000, progressions=())
-    with pytest.raises(ValueError):
-        SurveyConfig(ell=3, x=1000, variants=("Q",))
-    with pytest.raises(ValueError):
-        SurveyConfig(ell=3, x=1000, progressions=((4, 2),))
-    with pytest.raises(ValueError):
-        SurveyConfig(ell=3, x=1000, variants=("Hplus",), progressions=((4, 1),))
-    # the densities assume a prime base, and H- in progressions an odd one
-    for ell in (1, 9):
-        with pytest.raises(ValueError, match="prime"):
-            SurveyConfig(ell=ell, x=1000)
-    with pytest.raises(ValueError, match="odd"):
-        SurveyConfig(ell=2, x=1000, variants=("Hminus",), progressions=((4, 1),))
+    for d, a in ((4, 0), (4, 5)):
+        message = f"progression ({d}, {a}) must have 1 <= a <= d"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SurveyConfig(ell=3, x=1000, progressions=((d, a),))
+    # a request that breaks both a config rule and a density rule gets the config's error
+    with pytest.raises(ValueError, match="1 <= a <= d"):
+        SurveyConfig(ell=9, x=1000, variants=("Q",), progressions=((4, 2), (5, 7)))
     # beyond the kernel bound: rejected before any prime is computed
     with pytest.raises(ValueError, match="kernel"):
         SurveyConfig(ell=3, x=MAX_KERNEL_PRIME + 1)
     SurveyConfig(ell=3, x=MAX_KERNEL_PRIME)
+    for request, _ in DENSITY_REJECTS:
+        SurveyConfig(**{"ell": 3, "x": 1000, **request})
     # the library entry points check their names before any sieve or cache work
     monkeypatch.setattr(survey_mod, "sieve_primes", _no_recompute)
     with pytest.raises(ValueError, match="unknown table"):
@@ -77,14 +95,60 @@ def test_config_validation(tmp_cache, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "options",
-    [["--ell", "9"], ["--ell", "2", "--variant", "hminus", "--progression", "4,1"]],
+    "overrides, message", DENSITY_REJECTS,
+    ids=["ell1", "ell9", "variantQ", "a2d4", "hplus-d4", "ell2-hminus-d4"],
 )
-def test_bad_survey_fails_before_any_prime(tmp_cache, monkeypatch, options):
+def test_density_rules_fail_before_the_sieve(tmp_cache, monkeypatch, overrides, message):
+    cfg = small_config(tmp_cache, **{"x": 1000, "variants": ("G",), **overrides})
+    monkeypatch.setattr(survey_mod, "sieve_primes", _no_recompute)
+    with pytest.raises(ValueError) as raised:
+        run_survey(cfg)
+    assert str(raised.value) == message
+    assert not tmp_cache.exists()
+
+
+def test_each_row_evaluates_its_density_once(tmp_cache, monkeypatch):
+    # one conjectured and one lower-bound call per row, so two `_delta_for_kind`
+    # calls: 100 for the 50 rows of g1, hpm and g3, whatever x is
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(density_mod, "_delta_for_kind",
+                        counted("delta", density_mod._delta_for_kind))
+    for name in ("conjectured_ratio", "lower_bound_ratio"):
+        monkeypatch.setattr(survey_mod, name, counted(name, getattr(survey_mod, name)))
+    cfg = small_config(tmp_cache, x=300, progressions=((1, 1), (4, 1), (4, 3)))
+    assert not calls
+    rows = run_survey(cfg)
+    assert len(rows) == 6
+    assert calls == {"conjectured_ratio": 6, "lower_bound_ratio": 6, "delta": 12}
+    calls.clear()
+    rows = [row for which in ("g1", "hpm", "g3")
+            for row in run_table(which, 200, cache_dir=tmp_cache, quiet=True)]
+    assert len(rows) == 50
+    assert calls == {"conjectured_ratio": 50, "lower_bound_ratio": 50, "delta": 100}
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        pytest.param(["--ell", "9"], "ell must be a prime, got 9", id="options0"),
+        pytest.param(["--ell", "2", "--variant", "hminus", "--progression", "4,1"],
+                     "closed form in a progression only covers odd prime bases", id="options1"),
+    ],
+)
+def test_bad_survey_fails_before_any_prime(tmp_cache, monkeypatch, capsys, options, message):
     monkeypatch.setattr(survey_mod, "sieve_primes", _no_recompute)
     monkeypatch.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
     argv = ["survey", "--x", "100000", "--cache-dir", str(tmp_cache), "--quiet", *options]
     assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
     assert not tmp_cache.exists()
 
 
