@@ -70,38 +70,46 @@ def b_irregular_pairs(p: int) -> tuple[int, ...]:
 def prime_orders(ell: int, primes) -> np.ndarray:
     """The (n, 3) int64 rows (ord_p(ell), ord_p(ell**2), (ell/p)) for odd primes p.
 
-    One order array gives all three columns: with o = ord_p(ell),
-    ord_p(ell**2) = o / gcd(o, 2), and by Euler's criterion (ell/p) = 1
-    exactly when o divides (p-1)/2. The row of p = ell is zeros; every other p
-    goes to `mult_orders`, which checks that it is odd and below 2**31 but not
-    that it is prime. ell must be prime.
+    `_order_rows` derives all three columns from o = ord_p(ell). The row of
+    p = ell is zeros; every other p goes to `mult_orders`, which checks that it
+    is odd and below 2**31 but not that it is prime. ell must be prime.
     """
     if not is_prime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     p = np.asarray(primes, dtype=np.int64).ravel()
-    rows = np.zeros((p.size, 3), dtype=np.int64)
+    o = np.zeros_like(p)
     other = p != ell
-    o = mult_orders(ell, p[other])
-    rows[other, 0] = o
-    rows[other, 1] = o // np.gcd(o, 2)
-    rows[other, 2] = np.where((p[other] - 1) // 2 % o == 0, 1, -1)
-    return rows
+    o[other] = mult_orders(ell, p[other])
+    return _order_rows(p, o)
+
+
+def _order_rows(p: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """The rows (o, ord_p(ell**2), (ell/p)) for odd primes p and o = ord_p(ell).
+
+    ord_p(ell**2) = o / gcd(o, 2) (o halved when even), and by Euler's criterion
+    (ell/p) = 1 exactly when o divides (p-1)/2. o = 0 stands for p = ell, and
+    gives a row of zeros.
+    """
+    jacobi = np.where((p - 1) // 2 % np.maximum(o, 1) == 0, 1, -1)
+    jacobi[o == 0] = 0
+    return np.column_stack([o, np.where(o & 1, o, o >> 1), jacobi])
 
 
 def classify_prime(ell: int, p: int) -> PrimeClassification:
     """Classify an odd prime p for base ell: `irregular_flags` for one prime.
 
-    p is checked first (an odd prime within the kernel bound, which also keeps
-    the orders' factor sieve small) and the orders come next, so a bad ell or p
-    fails before the kernel runs; the B flag is `b_irregular_pairs(p)` for
-    p > 3 (2 and 3 have none).
+    The checks run cheapest first, so a bad ell or p fails before the kernel
+    runs: p != 2, then the kernel bound (before primality, whose trial division
+    grows as sqrt(p); the bound also keeps the orders' factor sieve small),
+    then p's primality, then ell's, inside `prime_orders`. The B flag is
+    `b_irregular_pairs(p)` for p > 3 (2 and 3 have none).
     """
     if p == 2:
         raise ValueError("2 is never classified; the definitions cover odd primes")
-    if not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
     if p > MAX_KERNEL_PRIME:
         raise ValueError(f"p={p} exceeds the kernel exactness bound {MAX_KERNEL_PRIME}")
+    if not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
     orders = prime_orders(ell, [p])
     b = p > 3 and bool(b_irregular_pairs(p))
     g, h, hm, hp = (bool(mask[0]) for mask in irregular_flags(ell, [p], orders, [b]))

@@ -35,11 +35,13 @@ POSIX `fork` start method; there is no thread fallback.
 The orders stage (`_ensure_orders`) runs in the parent: the primes missing from
 orders_<ell>.csv get their (ord, ord_sq, jacobi) rows from one
 `classify.prime_orders` call, a numpy pass over all of them, and the file is
-rewritten once. A warm survey computes no order at all.
+rewritten once. A warm survey computes no order at all, but checks every row
+it serves against that row's own ord, in one more numpy pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -52,7 +54,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .classify import b_irregular_pairs, irregular_flags, prime_orders
+from .classify import _order_rows, b_irregular_pairs, irregular_flags, prime_orders
 from .density import conjectured_ratio, lower_bound_ratio
 from .kernels import MAX_KERNEL_PRIME
 from .modarith import sieve_primes
@@ -155,8 +157,12 @@ class ClassificationCache:
 
     A file whose first line is not CACHE_HEADER (another schema or kernel) reads
     as absent: its primes are recomputed and the file rewritten. A malformed row
-    under the current header raises SurveyError. Bump the version in
-    CACHE_HEADER whenever the row layout or the stored values could change.
+    under the current header raises SurveyError, and so does an order row a
+    survey reads that contradicts its own ord: `_ensure_orders` checks, in one
+    array pass, that ord >= 0 divides p - 1, that ord_sq and jacobi are the values
+    `classify.prime_orders` derives from ord, and that the row is zeros exactly
+    at p = ell. Bump the version in CACHE_HEADER whenever the row layout or the
+    stored values could change.
     All writes come from the parent process, never from a B-stage worker, and
     replace files atomically.
     """
@@ -210,7 +216,11 @@ def _read_rows(path: Path, parse_row: Callable[[list[str]], tuple]) -> dict:
     try:
         return dict(parse_row(line.split(",")) for line in lines[1:])
     except ValueError as exc:
-        raise SurveyError(f"cache file {path} is corrupt ({exc}); delete it and re-run") from exc
+        raise _corrupt(path, exc) from exc
+
+
+def _corrupt(path: Path, why) -> SurveyError:
+    return SurveyError(f"cache file {path} is corrupt ({why}); delete it and re-run")
 
 
 def _write_rows(path: Path, rows: Iterable[tuple]) -> None:
@@ -322,8 +332,20 @@ def _ensure_orders(ell: int, primes: np.ndarray, cache: ClassificationCache) -> 
     missing = [p for p in odd if p not in orders]
     if missing:  # one array pass for every missing prime; none for a warm cache
         orders.update(zip(missing, map(tuple, prime_orders(ell, missing).tolist())))
+    # fromiter over the flat values: a third faster than np.array on a list of tuples
+    flat = itertools.chain((0, 0, 0), *map(orders.__getitem__, odd))
+    rows = np.fromiter(flat, np.int64, 3 * len(primes)).reshape(-1, 3)
+    if len(missing) < len(odd):  # some rows came from the file: check them, before it is rewritten
+        p, o = primes[1:], rows[1:, 0]
+        derived = _order_rows(p, o) != rows[1:]  # its first column is o itself
+        bad = derived[:, 1] | derived[:, 2] | (o < 0) | ((o == 0) != (p == ell))
+        bad |= (p - 1) % np.maximum(o, 1) != 0
+        if bad.any():
+            why = f"the order row of p={p[bad][0]} contradicts its ord"
+            raise _corrupt(cache._orders_path(ell), why)
+    if missing:
         cache.save_classifications(ell, orders)
-    return np.array([(0, 0, 0)] + [orders[p] for p in odd], dtype=np.int64)
+    return rows
 
 
 def run_survey(config: SurveyConfig) -> list[SurveyRow]:

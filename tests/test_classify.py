@@ -143,6 +143,18 @@ def test_classify_prime_checks_p_before_the_orders(monkeypatch):
             classify_prime(2, p)
 
 
+def test_classify_prime_checks_the_bound_before_primality(monkeypatch):
+    # trial division grows as sqrt(p): near 10**18 it would take minutes to
+    # reach an error the bound gives at once
+    def no_primality(n):
+        raise AssertionError(f"primality of {n} tested before the kernel bound")
+
+    monkeypatch.setattr(classify_mod, "is_prime", no_primality)
+    for p in (MAX_KERNEL_PRIME + 2, 10**18 + 3):
+        with pytest.raises(ValueError, match=f"p={p} exceeds the kernel exactness bound"):
+            classify_prime(2, p)
+
+
 def test_classification_invariants():
     for p in ODD_PRIMES_500:
         for ell in (2, 3, 5):

@@ -121,32 +121,40 @@ def test_no_unused_locals():
 
 
 def _bindings(tree: ast.Module):
-    """(name, line) for each def anywhere and each plain name bound at module level
-    by `=` or `: T =`."""
+    """(name, node) for each def and class anywhere, and each plain name bound by
+    `=` or `: T =` at module level or in a class body."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node.lineno
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from ((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        for node in scope.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
 
 
 def test_no_unreferenced_private_names():
-    # a helper or table left behind when its reader is replaced: a private def or
-    # module-level assignment in the package that no source file of the package reads
-    package = sorted(Path(genocchi.__file__).parent.glob("*.py"))
+    # a helper, class or table left behind when its reader is replaced: a private
+    # def, class or module- or class-level assignment in the package that no
+    # source file of the package reads. A def's reads of its own name (recursion)
+    # do not count. Every tree stays alive to the end, so no node id is reused.
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(Path(genocchi.__file__).parent.glob("*.py"))}
     defined: dict[str, str] = {}
-    read: set[str] = set()
-    for path in package:
-        tree = ast.parse(path.read_text())
-        defined.update((name, f"{path.name}:{line}") for name, line in _bindings(tree)
-                       if name.startswith("_") and not name.endswith("__"))
+    own: dict[str, set[int]] = {}  # name -> the ids of the nodes inside its own defs
+    reads: list[tuple[str, int]] = []
+    for path, tree in trees.items():
+        for name, node in _bindings(tree):
+            if name.startswith("_") and not name.endswith("__"):
+                defined[name] = f"{path.name}:{node.lineno}"
+                if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    own.setdefault(name, set()).update(map(id, ast.walk(node)))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                reads.append((node.id, id(node)))
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                reads.append((node.attr, id(node)))
+    read = {name for name, node in reads if node not in own.get(name, ())}
     assert len(defined) > 10
     unreferenced = [f"{where} {name}" for name, where in defined.items() if name not in read]
     assert not unreferenced, unreferenced

@@ -291,6 +291,32 @@ def test_cache_corruption_reported(tmp_cache, row):
         run_survey(cfg)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "7,6,1,-1",    # ord_sq is not ord / gcd(ord, 2)
+        "13,12,5,7",   # nor is it here, and jacobi is not +-1
+        "7,6,3,1",     # jacobi says ord | (p-1)/2, and 6 does not divide 3
+        "7,4,2,-1",    # ord does not divide p - 1; the other columns follow from it
+        "7,-6,-3,-1",  # a negative ord, with the columns that follow from it
+        "7,0,0,0",     # zeros at a p other than ell
+        "3,2,1,-1",    # p = ell, whose row is zeros; the other columns follow from ord
+    ],
+)
+def test_cache_order_row_that_contradicts_its_ord_is_reported(tmp_cache, row):
+    run_survey(small_config(tmp_cache, x=500))
+    path = ClassificationCache(tmp_cache)._orders_path(3)
+    p = row.split(",")[0]
+    text = re.sub(f"(?m)^{p},.*$", row, path.read_text())
+    path.write_text(text)
+    # warm, and with primes missing: either way the file is named and left as it was
+    for x in (500, 600):
+        match = f"{re.escape(str(path))}.*p={p} contradicts its ord.*delete"
+        with pytest.raises(SurveyError, match=match):
+            run_survey(small_config(tmp_cache, x=x))
+        assert path.read_text() == text
+
+
 def test_foreign_cache_is_recomputed(tmp_path, monkeypatch):
     """Files without CACHE_HEADER, here in the v1 layout, are recomputed and rewritten."""
     cold_dir, old_dir = tmp_path / "cold", tmp_path / "old"
