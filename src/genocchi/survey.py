@@ -50,7 +50,6 @@ import time
 import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable
 
 import numpy as np
 
@@ -149,11 +148,20 @@ def resolve_cache_dir(configured: Path | str | None) -> Path:
 class ClassificationCache:
     """File-backed cache: one CSV per concern under the cache directory.
 
-    Every file is the line CACHE_HEADER, then one row per prime: birregular.csv
-    holds `p,b_irregular,indices` (indices ';'-joined) for primes p >= 5, and
-    orders_<ell>.csv holds `p,ord,ord_sq,jacobi` for odd primes. No flag is
-    stored: each survey derives them from the orders and the B rows, so the two
-    files never drift apart.
+    Every file is the line CACHE_HEADER, then one row per line, which the
+    writers sort by p:
+
+        birregular.csv      p,0,                   a B-regular prime p >= 5
+                            p,1,i;j;...            a B-irregular one and its indices
+        orders_<ell>.csv    p,ord,ord_sq,jacobi    an odd prime p
+
+    Each field is a decimal integer. Every line ends in "\\n" as written; "\\r\\n"
+    reads the same, and so does a last line without its end. Any other row is
+    malformed: a blank line, another number of fields, a flag other than 0 with
+    no indices or 1 with some, or an empty index such as 32;;36.
+
+    No G or H flag is stored: each survey derives them from the orders and the
+    B rows, so the two files never drift apart.
 
     A file whose first line is not CACHE_HEADER (another schema or kernel) reads
     as absent: its primes are recomputed and the file rewritten. A malformed row
@@ -163,8 +171,9 @@ class ClassificationCache:
     `classify.prime_orders` derives from ord, and that the row is zeros exactly
     at p = ell. Bump the version in CACHE_HEADER whenever the row layout or the
     stored values could change.
-    All writes come from the parent process, never from a B-stage worker, and
-    replace files atomically.
+    Each reader and each writer handles its whole file in one pass, and no
+    parsed file outlives the call. All writes come from the parent process,
+    never from a B-stage worker, and replace files atomically.
     """
 
     def __init__(self, root: Path):
@@ -177,59 +186,73 @@ class ClassificationCache:
         return self.root / f"orders_{ell}.csv"
 
     def load_b_pairs(self) -> dict[int, tuple[int, ...]]:
-        return _read_rows(self._b_path(), _parse_b_row)
+        path = self._b_path()
+        body = _read_body(path)
+        if not body:
+            return {}
+        # one split of the whole body: joined by ",\n,", each row is its three cells
+        # and then a lone "\n" cell, so a row with any other field count moves a
+        # "\n" off the fourth places
+        cells = ",\n,".join(body).split(",")
+        p, flags, idx = cells[0::4], cells[1::4], cells[2::4]
+        try:
+            if len(cells) != 4 * len(body) - 1 or cells[3::4].count("\n") != len(body) - 1:
+                raise ValueError("a row does not have 3 fields")
+            if flags != ["1" if i else "0" for i in idx]:
+                raise ValueError("flag does not match index list")
+            return {int(q): tuple(map(int, i.split(";"))) if i else () for q, i in zip(p, idx)}
+        except ValueError as exc:
+            raise _corrupt(path, exc) from exc
 
     def save_b_pairs(self, pairs: dict[int, tuple[int, ...]]) -> None:
-        _write_rows(
-            self._b_path(),
-            ((p, int(bool(idx)), ";".join(map(str, idx))) for p, idx in sorted(pairs.items())),
-        )
+        _write_body(self._b_path(), "".join([
+            f"{p},1,{';'.join(map(str, idx))}\n" if idx else f"{p},0,\n"
+            for p, idx in sorted(pairs.items())
+        ]))
 
     def load_orders(self, ell: int) -> dict[int, tuple[int, int, int]]:
-        return _read_rows(self._orders_path(ell), _parse_orders_row)
+        path = self._orders_path(ell)
+        body = _read_body(path)
+        if not body:
+            return {}
+        try:
+            if "" in body:  # loadtxt would skip it
+                raise ValueError("blank line")
+            rows = np.loadtxt(body, np.int64, delimiter=",", comments=None, ndmin=2)
+            if rows.shape[1] != 4:  # every row has the same count, or loadtxt raised
+                raise ValueError(f"rows have {rows.shape[1]} fields, not 4")
+        except ValueError as exc:
+            raise _corrupt(path, exc) from exc
+        p, ord_ell, ord_ell_sq, jacobi = rows.T.tolist()
+        return dict(zip(p, zip(ord_ell, ord_ell_sq, jacobi)))
 
     def save_classifications(self, ell: int, orders: dict[int, tuple[int, int, int]]) -> None:
-        _write_rows(self._orders_path(ell), ((p, *o) for p, o in sorted(orders.items())))
+        _write_body(self._orders_path(ell), "".join([
+            f"{p},{o},{o2},{j}\n" for p, (o, o2, j) in sorted(orders.items())
+        ]))
 
 
-def _parse_b_row(fields: list[str]) -> tuple[int, tuple[int, ...]]:
-    """`p,0,` for a B-regular prime, `p,1,i;j;...` otherwise; anything else is damage."""
-    p, flag, idx = fields
-    if flag != ("1" if idx else "0"):
-        raise ValueError("flag does not match index list")
-    return int(p), tuple(map(int, idx.split(";"))) if idx else ()
-
-
-def _parse_orders_row(fields: list[str]) -> tuple[int, tuple[int, int, int]]:
-    p, ord_ell, ord_ell_sq, jacobi = map(int, fields)
-    return p, (ord_ell, ord_ell_sq, jacobi)
-
-
-def _read_rows(path: Path, parse_row: Callable[[list[str]], tuple]) -> dict:
-    """The rows of one cache file keyed by prime; {} if it is absent or foreign."""
+def _read_body(path: Path) -> list[str]:
+    """The lines of one cache file after CACHE_HEADER; [] if it is absent or foreign."""
     try:
         lines = path.read_text(errors="replace").splitlines()
     except FileNotFoundError:
-        return {}
+        return []
     if not lines or lines[0] != CACHE_HEADER:
-        return {}
-    try:
-        return dict(parse_row(line.split(",")) for line in lines[1:])
-    except ValueError as exc:
-        raise _corrupt(path, exc) from exc
+        return []
+    return lines[1:]
 
 
 def _corrupt(path: Path, why) -> SurveyError:
     return SurveyError(f"cache file {path} is corrupt ({why}); delete it and re-run")
 
 
-def _write_rows(path: Path, rows: Iterable[tuple]) -> None:
-    """Replace path by CACHE_HEADER and the rows at once; an interruption keeps the old file."""
+def _write_body(path: Path, body: str) -> None:
+    """Replace path by CACHE_HEADER and the body at once; an interruption keeps the old file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [CACHE_HEADER, *(",".join(map(str, row)) for row in rows)]
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n")
+        tmp.write_text(f"{CACHE_HEADER}\n{body}")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -368,7 +391,9 @@ def run_survey(config: SurveyConfig) -> list[SurveyRow]:
     cache = ClassificationCache(resolve_cache_dir(config.cache_dir))
     b_pairs = _ensure_b_pairs(primes, cache, config.threads, config.quiet)
     orders = _ensure_orders(config.ell, primes, cache)
-    b = np.array([bool(b_pairs.get(p)) for p in primes.tolist()])
+    # both sides are unique, and saying so skips np.unique, whose first call
+    # imports numpy.ma (about 10 ms)
+    b = np.isin(primes, [p for p, idx in b_pairs.items() if idx], assume_unique=True)
     g, _, hminus, hplus = irregular_flags(config.ell, primes, orders, b)
     flags = {"G": g, "Hminus": hminus, "Hplus": hplus}
 

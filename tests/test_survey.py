@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures.process
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -317,6 +319,118 @@ def test_cache_order_row_that_contradicts_its_ord_is_reported(tmp_cache, row):
         assert path.read_text() == text
 
 
+def _row(old, new):
+    """An edit that replaces the lines `old` by the lines `new`."""
+    return lambda text: text.replace(f"\n{old}\n", f"\n{new}\n")
+
+
+def _body(rows):
+    """An edit that leaves CACHE_HEADER and the lines `rows`."""
+    return lambda text: f"{CACHE_HEADER}\n{rows}\n"
+
+
+def _cut_last_row(text):
+    """The file cut off inside its last row: that row loses its last field and newline."""
+    return text.rstrip("\n").rsplit(",", 1)[0]
+
+
+#: (file, edit of its text after a cold survey at ell = 3, x = 500): each leaves a
+#: row the reader must reject. Some pass a reader that checks less: 5 + 1 fields
+#: are two rows of 3 to a split that ignores the line breaks, one row of 7 keeps
+#: every flag in place, and loadtxt alone takes one wrong field count on every row.
+MALFORMED_ROWS = [
+    pytest.param("orders_3.csv", _row("7,6,3,-1", "7,6,3"), id="orders-3-fields"),
+    pytest.param("orders_3.csv", _body("3,0,0\n5,4,2"), id="orders-every-row-3-fields"),
+    pytest.param("orders_3.csv", _row("7,6,3,-1", "7,6,3,-1,0"), id="orders-5-fields"),
+    pytest.param("orders_3.csv", _row("7,6,3,-1", "7,6,3,x"), id="orders-non-integer"),
+    pytest.param("orders_3.csv", _row("7,6,3,-1", "7,6,3,-1\n"), id="orders-blank-line"),
+    pytest.param("orders_3.csv", _cut_last_row, id="orders-last-row-cut"),
+    pytest.param("birregular.csv", _row("5,0,\n7,0,", "5,0,,9\n7,0"), id="b-4-then-2-fields"),
+    pytest.param("birregular.csv", _row("5,0,\n7,0,", "5,0,,7,1\n32"), id="b-5-then-1-fields"),
+    pytest.param("birregular.csv", _body("5,0,,9,7,0,"), id="b-one-row-of-7-fields"),
+    pytest.param("birregular.csv", _row("5,0,", "5.0,0,"), id="b-non-integer-p"),
+    pytest.param("birregular.csv", _row("5,0,", "5,0,\n"), id="b-blank-line"),
+]
+
+
+@pytest.mark.parametrize("name, edit", MALFORMED_ROWS)
+def test_cache_malformed_rows_are_reported(tmp_cache, name, edit):
+    run_survey(small_config(tmp_cache, x=500))
+    path = tmp_cache / name
+    text = edit(path.read_text())
+    assert text != path.read_text()
+    path.write_text(text)
+    with pytest.raises(SurveyError, match=f"{re.escape(str(path))} is corrupt.*delete"):
+        run_survey(small_config(tmp_cache, x=500))
+    assert path.read_text() == text
+
+
+def test_crlf_line_endings_read_as_valid(tmp_cache, monkeypatch):
+    cfg = small_config(tmp_cache, x=500)
+    cold = run_survey(cfg)
+    cache = ClassificationCache(tmp_cache)
+    b_pairs, orders = cache.load_b_pairs(), cache.load_orders(3)
+    for path in tmp_cache.iterdir():
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert cache.load_b_pairs() == b_pairs and cache.load_orders(3) == orders
+    monkeypatch.setattr(survey_mod, "prime_orders", _no_recompute)
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
+    assert run_survey(cfg) == cold
+
+
+def test_warm_survey_writes_nothing(tmp_cache, monkeypatch):
+    run_table("g1", 500, cache_dir=tmp_cache, quiet=True)
+
+    def files():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino)
+                for p in tmp_cache.iterdir()}
+
+    before = files()
+    assert len(before) == 9  # birregular.csv and one orders file per base
+    monkeypatch.setattr(ClassificationCache, "save_b_pairs", _no_recompute)
+    monkeypatch.setattr(ClassificationCache, "save_classifications", _no_recompute)
+    for which in TABLE_PRESETS:
+        run_table(which, 500, cache_dir=tmp_cache, quiet=True)
+    assert files() == before
+
+
+def test_cache_writer_layout(tmp_cache):
+    cache = ClassificationCache(tmp_cache)
+    b_pairs = {59: (44,), 5: (), 157: (62, 110), 37: (32,)}
+    orders = {7: (6, 3, -1), 3: (0, 0, 0), 5: (4, 2, -1)}
+    cache.save_b_pairs(b_pairs)
+    cache.save_classifications(3, orders)
+    cache.save_classifications(5, {})
+    # rows sorted by prime, every line ending in "\n"
+    assert cache._b_path().read_text() == (
+        f"{CACHE_HEADER}\n5,0,\n37,1,32\n59,1,44\n157,1,62;110\n"
+    )
+    assert cache._orders_path(3).read_text() == f"{CACHE_HEADER}\n3,0,0,0\n5,4,2,-1\n7,6,3,-1\n"
+    assert cache._orders_path(5).read_text() == f"{CACHE_HEADER}\n"
+    assert cache.load_b_pairs() == b_pairs
+    assert cache.load_orders(3) == orders and cache.load_orders(5) == {}
+    loaded = cache.load_orders(3)
+    assert {type(v) for p, row in loaded.items() for v in (p, *row)} == {int}
+    cache.save_b_pairs({})
+    assert cache._b_path().read_text() == f"{CACHE_HEADER}\n"
+    assert cache.load_b_pairs() == {}
+
+
+def test_readme_states_the_row_grammar_of_the_docstring():
+    # one statement of the row grammar: README's table and rules are the docstring's
+    doc = inspect.cleandoc(ClassificationCache.__doc__)
+    readme = README.read_text()
+    table = next(block for block in re.findall(r"^```\n(.*?)^```$", readme, re.M | re.S)
+                 if block.startswith("birregular.csv"))
+    assert textwrap.indent(table, "    ") in doc
+
+    def words(text):
+        return " ".join(text.replace("`", "").replace('"', "").split())
+
+    rules = next(par for par in doc.split("\n\n") if par.startswith("Each field"))
+    assert words(rules) in words(readme)
+
+
 def test_foreign_cache_is_recomputed(tmp_path, monkeypatch):
     """Files without CACHE_HEADER, here in the v1 layout, are recomputed and rewritten."""
     cold_dir, old_dir = tmp_path / "cold", tmp_path / "old"
@@ -365,13 +479,17 @@ def test_foreign_cache_is_recomputed(tmp_path, monkeypatch):
     ],
 )
 def test_any_other_first_line_reads_as_absent(tmp_cache, text):
+    # one header rule for both readers; the rows under it are never parsed
     cache = ClassificationCache(tmp_cache)
     tmp_cache.mkdir()
     cache._b_path().write_bytes(text)
-    assert cache.load_b_pairs() == {}
+    cache._orders_path(3).write_bytes(text)
+    assert cache.load_b_pairs() == {} and cache.load_orders(3) == {}
     run_survey(small_config(tmp_cache, x=500))
-    assert cache._b_path().read_text().startswith(CACHE_HEADER + "\n")
+    for path in (cache._b_path(), cache._orders_path(3)):
+        assert path.read_text().startswith(CACHE_HEADER + "\n")
     assert len(cache.load_b_pairs()) == 93  # primes 5 <= p <= 500
+    assert len(cache.load_orders(3)) == 94  # odd primes p <= 500
 
 
 def test_b_stage_failure_keeps_finished_primes(tmp_cache, monkeypatch):
