@@ -1,11 +1,15 @@
 import collections
 import concurrent.futures.process
+import ctypes
 import dataclasses
 import inspect
 import json
 import math
+import multiprocessing
 import os
+import platform
 import re
+import resource
 import shlex
 import signal
 import subprocess
@@ -329,6 +333,11 @@ def _body(rows):
     return lambda text: f"{CACHE_HEADER}\n{rows}\n"
 
 
+def _unended(rows):
+    """An edit that leaves CACHE_HEADER and the lines `rows`, the last without its end."""
+    return lambda text: f"{CACHE_HEADER}\n{rows}"
+
+
 def _cut_last_row(text):
     """The file cut off inside its last row: that row loses its last field and newline."""
     return text.rstrip("\n").rsplit(",", 1)[0]
@@ -337,7 +346,8 @@ def _cut_last_row(text):
 #: (file, edit of its text after a cold survey at ell = 3, x = 500): each leaves a
 #: row the reader must reject. Some pass a reader that checks less: 5 + 1 fields
 #: are two rows of 3 to a split that ignores the line breaks, one row of 7 keeps
-#: every flag in place, and loadtxt alone takes one wrong field count on every row.
+#: every flag in place, loadtxt alone takes one wrong field count on every row, and
+#: a row cut inside its index list, or a repeated p, reads as a valid row by itself.
 MALFORMED_ROWS = [
     pytest.param("orders_3.csv", _row("7,6,3,-1", "7,6,3"), id="orders-3-fields"),
     pytest.param("orders_3.csv", _body("3,0,0\n5,4,2"), id="orders-every-row-3-fields"),
@@ -345,11 +355,15 @@ MALFORMED_ROWS = [
     pytest.param("orders_3.csv", _row("7,6,3,-1", "7,6,3,x"), id="orders-non-integer"),
     pytest.param("orders_3.csv", _row("7,6,3,-1", "7,6,3,-1\n"), id="orders-blank-line"),
     pytest.param("orders_3.csv", _cut_last_row, id="orders-last-row-cut"),
+    pytest.param("orders_3.csv", _unended("3,0,0,0\n5,4,2,-1"), id="orders-last-line-unended"),
+    pytest.param("orders_3.csv", _row("7,6,3,-1", "7,6,3,-1\n7,3,3,1"), id="orders-repeated-p"),
     pytest.param("birregular.csv", _row("5,0,\n7,0,", "5,0,,9\n7,0"), id="b-4-then-2-fields"),
     pytest.param("birregular.csv", _row("5,0,\n7,0,", "5,0,,7,1\n32"), id="b-5-then-1-fields"),
     pytest.param("birregular.csv", _body("5,0,,9,7,0,"), id="b-one-row-of-7-fields"),
     pytest.param("birregular.csv", _row("5,0,", "5.0,0,"), id="b-non-integer-p"),
     pytest.param("birregular.csv", _row("5,0,", "5,0,\n"), id="b-blank-line"),
+    pytest.param("birregular.csv", _unended("5,0,\n37,1,3"), id="b-last-index-list-cut"),
+    pytest.param("birregular.csv", _row("37,1,32", "37,1,32\n37,0,"), id="b-repeated-p"),
 ]
 
 
@@ -378,6 +392,23 @@ def test_crlf_line_endings_read_as_valid(tmp_cache, monkeypatch):
     assert run_survey(cfg) == cold
 
 
+def test_orders_file_with_gaps_and_primes_above_x(tmp_path):
+    # the cold file for x = 1000; the survey at x = 500 finds its rows out of order,
+    # some primes <= 500 missing and every prime above 500 present
+    cold_dir, cache_dir = tmp_path / "cold", tmp_path / "cache"
+    run_survey(small_config(cold_dir, x=1000))
+    cold = (cold_dir / "orders_3.csv").read_bytes()
+    header, *lines = cold.splitlines(keepends=True)
+    kept = [line for line in lines if (p := int(line.split(b",")[0])) > 500 or p % 4 == 1]
+    assert 0 < len(kept) < len(lines)
+    cache_dir.mkdir()
+    (cache_dir / "orders_3.csv").write_bytes(header + b"".join(kept[::-1]))
+    primes = sieve_primes(500)
+    rows = survey_mod._ensure_orders(3, primes, ClassificationCache(cache_dir))
+    assert (rows[0] == 0).all() and (rows[1:] == classify_mod.prime_orders(3, primes[1:])).all()
+    assert (cache_dir / "orders_3.csv").read_bytes() == cold
+
+
 def test_warm_survey_writes_nothing(tmp_cache, monkeypatch):
     run_table("g1", 500, cache_dir=tmp_cache, quiet=True)
 
@@ -388,7 +419,7 @@ def test_warm_survey_writes_nothing(tmp_cache, monkeypatch):
     before = files()
     assert len(before) == 9  # birregular.csv and one orders file per base
     monkeypatch.setattr(ClassificationCache, "save_b_pairs", _no_recompute)
-    monkeypatch.setattr(ClassificationCache, "save_classifications", _no_recompute)
+    monkeypatch.setattr(ClassificationCache, "save_order_table", _no_recompute)
     for which in TABLE_PRESETS:
         run_table(which, 500, cache_dir=tmp_cache, quiet=True)
     assert files() == before
@@ -554,6 +585,29 @@ def test_interrupt_keeps_finished_batches(tmp_cache):
     largest = [int(p) for p in sieve_primes(20000)[::-1]][: len(saved)]
     assert sorted(saved) == sorted(largest)
     assert all(saved[p] == b_irregular_pairs(p) for p in largest[-20:])
+
+
+def _faults_of_second_call(p):
+    b_irregular_pairs(p)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    b_irregular_pairs(p)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc"
+    or not hasattr(ctypes.CDLL(None), "mallopt"),
+    reason="needs glibc's mallopt",
+)
+def test_b_stage_workers_reuse_freed_memory():
+    # near p = 40000 the kernel's arrays are over glibc's default mmap threshold:
+    # without the worker setting each call maps them afresh, about 1000 page faults
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.process.ProcessPoolExecutor(
+        1, mp_context=context, initializer=survey_mod._b_worker_init
+    ) as pool:
+        faults = pool.submit(_faults_of_second_call, 39989).result(timeout=60)
+    assert faults < 100
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
