@@ -24,13 +24,15 @@ that the published (3, 2) value is one prime above the count; criterion 4 of
 tests/test_acceptance.py checks all of them.
 
 The B-stage (`_ensure_b_pairs`) computes every prime missing from the cache on
-forked worker processes. The largest-first list of missing primes is cut into
-about BATCHES_PER_WORKER batches per worker, each of about equal p*log2(p)
-work, and each batch is one task: only primes go in and only index tuples come
-back. A failing prime costs its batch nothing: the worker finishes the rest of
-the batch. The first error, or an interrupt, cancels the batches still queued;
-the running ones finish, and every finished batch is saved. The pool needs the
-POSIX `fork` start method; there is no thread fallback. Each worker's glibc
+worker processes it forks itself. The largest-first list of missing primes is
+cut into about BATCHES_PER_WORKER batches per worker, each of about equal
+p*log2(p) work. A worker reads batch numbers from one pipe and writes each
+batch's pickled (pairs, failure) to another, and the parent hands the next
+batch to whichever worker finishes first. A failing prime costs its batch
+nothing. The first error, a worker's death or an interrupt stops the hand-out;
+the running batches finish, every finished batch is saved and every worker is
+reaped. There is no process pool: its imports and threads cost the parent of a
+cold survey at x = 5000 about four times the CPU. Each worker's glibc
 malloc keeps the memory the kernel frees for the next prime (`_b_worker_init`):
 above p ~ 2^14 the kernel's arrays pass glibc's default 128 KiB mmap threshold,
 and each would otherwise be mapped and unmapped again for every prime, about
@@ -51,15 +53,19 @@ before any write.
 from __future__ import annotations
 
 import collections
+import contextlib
 import ctypes
 import json
 import math
 import os
+import pickle
+import select
 import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -365,52 +371,131 @@ def _b_worker_init() -> None:
         mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+@dataclass
+class _BWorker:
+    """The parent's end of one forked B-stage worker; a field is None once done with."""
+
+    pid: int | None
+    tasks: int | None  # batch numbers go out here, one a line
+    results: BinaryIO  # and pickled (pairs, failure) come back here
+    batch: int | None = None  # the batch it is running
+
+    def hand_out(self, queue) -> None:
+        """Send the next batch, or stop the worker when none is left."""
+        self.batch = next(queue, None)
+        if self.batch is None:
+            self.stop()
+        else:
+            os.write(self.tasks, b"%d\n" % self.batch)
+
+    def stop(self) -> None:  # at EOF the worker exits, once its batch is sent
+        if self.tasks is not None:
+            os.close(self.tasks)
+            self.tasks = None
+
+    def receive(self, batches: list[list[int]]):
+        """The running batch's (pairs, failure); SurveyError if the worker died first."""
+        try:
+            return pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):  # its pipe ended first
+            pid, batch, self.pid = self.pid, batches[self.batch], None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise SurveyError(f"B-stage worker {pid} died ({how}) in its batch of the primes "
+                              f"{batch[-1]}..{batch[0]}") from None
+        finally:
+            self.batch = None
+
+
+def _b_worker(tasks: int, results: int, batches: list[list[int]]) -> None:
+    """A forked worker's loop: each batch number read from `tasks` sends its batch's
+    pickled `_b_batch` to `results`, until EOF."""
+    with open(tasks, "rb") as inbox, open(results, "wb") as outbox:
+        for line in inbox:
+            outbox.write(pickle.dumps(_b_batch(batches[int(line)])))
+            outbox.flush()
+
+
+def _fork_b_worker(batches: list[list[int]], inherited: list[int]) -> _BWorker:
+    """Fork a B-stage worker. It closes `inherited`, the parent's ends of the
+    earlier workers' pipes: a worker whose batch pipe stays open in another
+    never sees EOF."""
+    tasks, task_end = os.pipe()
+    result_end, results = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (tasks, task_end, result_end, results):
+            os.close(fd)
+        raise
+    if pid == 0:  # the worker leaves through os._exit alone, never into the caller
+        status = 1
+        try:
+            for fd in (*inherited, task_end, result_end):
+                os.close(fd)
+            _b_worker_init()
+            _b_worker(tasks, results, batches)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(status)
+    os.close(tasks)
+    os.close(results)
+    return _BWorker(pid, task_end, open(result_end, "rb"))
+
+
 def _ensure_b_pairs(
     primes: np.ndarray, cache: ClassificationCache, threads: int, quiet: bool
 ) -> dict[int, tuple[int, ...]]:
     known = cache.load_b_pairs()
     todo = [p for p in primes.tolist() if p >= 5 and p not in known]
-    if not todo:  # no pool, no fork: a warm survey never pays for one
+    if not todo:  # no fork: a warm survey never pays for one
         return known
-    # imported here: multiprocessing alone adds ~12 ms to `import genocchi`
-    import multiprocessing
-    from concurrent.futures import as_completed
-    from concurrent.futures.process import ProcessPoolExecutor
-
     todo.sort(reverse=True)  # largest first: the costliest primes start early
     workers = _worker_count(threads)
     batches = _batches(todo, BATCHES_PER_WORKER * workers)
+    queue = iter(range(len(batches)))
+    pool: dict[BinaryIO, _BWorker] = {}  # by result pipe
     start = time.time()
-    # fork: workers inherit the loaded modules; spawn and forkserver re-import numpy
-    # and genocchi in each worker, and at x = 5000 that start-up eats the gain.
-    # The pool forks before it starts its own threads, and a worker takes no
-    # lock a caller's thread could hold at the fork (the kernel uses none).
-    # Workers ignore SIGINT: a Ctrl-C reaches the parent alone, which lets the
-    # running batches finish and saves them.
-    pool = ProcessPoolExecutor(
-        max_workers=min(workers, len(batches)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_b_worker_init,
-    )
-    futures = [pool.submit(_b_batch, batch) for batch in batches]
-    try:  # the progress line's ETA holds because every batch carries the same work
-        done = 0
-        for finished, future in enumerate(as_completed(futures), 1):
-            pairs, failure = future.result()
-            if failure is not None:  # the kernel's own exception, after the finally below
-                error, trace = failure
-                raise error from SurveyError(f"raised in a B-stage worker:\n{trace}")
-            done += len(pairs)
-            elapsed = time.time() - start
-            eta = elapsed / finished * (len(batches) - finished)
-            _progress(
-                f"b-irregularity: {done}/{len(todo)} primes, {elapsed:.1f}s, ETA {eta:.1f}s", quiet
-            )
-    finally:  # an error or interrupt cancels queued batches; running ones finish and count
-        pool.shutdown(cancel_futures=True)
-        for future in futures:
-            if not future.cancelled() and future.exception() is None:
-                known.update(future.result()[0])
+    try:
+        # fork: workers inherit the loaded modules and the batches; spawn and
+        # forkserver re-import numpy and genocchi in each worker, and at x = 5000
+        # that start-up eats the gain. A worker takes no lock a caller's thread
+        # could hold at the fork (the kernel uses none). Workers ignore SIGINT: a
+        # Ctrl-C reaches the parent alone, which lets the running batches finish
+        # and saves them.
+        for _ in range(min(workers, len(batches))):
+            worker = _fork_b_worker(
+                batches, [fd for w in pool.values() for fd in (w.tasks, w.results.fileno())])
+            pool[worker.results] = worker
+            worker.hand_out(queue)
+        done = finished = 0  # the ETA holds because every batch carries the same work
+        while running := [r for r, w in pool.items() if w.batch is not None]:
+            for reader in select.select(running, [], [])[0]:
+                pairs, failure = pool[reader].receive(batches)
+                known.update(pairs)
+                if failure is not None:  # the kernel's own exception, after the finally below
+                    error, trace = failure
+                    raise error from SurveyError(f"raised in a B-stage worker:\n{trace}")
+                pool[reader].hand_out(queue)
+                done += len(pairs)
+                finished += 1
+                elapsed = time.time() - start
+                eta = elapsed / finished * (len(batches) - finished)
+                _progress(f"b-irregularity: {done}/{len(todo)} primes, {elapsed:.1f}s, "
+                          f"ETA {eta:.1f}s", quiet)
+    finally:  # an error or interrupt sends no more batches; running ones finish and count
+        for worker in pool.values():
+            worker.stop()
+        for worker in pool.values():
+            if worker.batch is not None:
+                with contextlib.suppress(SurveyError):  # the first error is the one raised
+                    known.update(worker.receive(batches)[0])
+            worker.results.close()
+            if worker.pid is not None:
+                os.waitpid(worker.pid, 0)
         cache.save_b_pairs(known)
     _progress(f"b-irregularity: {len(todo)} primes in {time.time() - start:.1f}s", quiet)
     return known

@@ -160,16 +160,21 @@ def test_no_unreferenced_private_names():
     assert not unreferenced, unreferenced
 
 
-def test_import_starts_no_process_machinery():
-    # the B-stage imports its process pool when it needs one; at import time it
-    # would add ~12 ms to every command, warm or not
+def test_import_starts_no_process_machinery(tmp_path):
+    # the B-stage forks its workers itself and talks to them over two pipes each:
+    # a process pool would add ~12 ms of imports to every command, warm or not,
+    # and its imports and threads to the parent's CPU in every cold survey
     check = (
-        "import genocchi, sys; "
-        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))"
+        "import genocchi, sys; from genocchi.survey import SurveyConfig, run_survey; "
+        "pools = {'multiprocessing', 'concurrent.futures'}; "
+        "print(sorted(pools & sys.modules.keys())); "
+        "run_survey(SurveyConfig(ell=2, x=500, threads=2, cache_dir=sys.argv[1], quiet=True)); "
+        "print(sorted(pools & sys.modules.keys()))"
     )
     src = Path(genocchi.__file__).parent.parent
     out = subprocess.run(
-        [sys.executable, "-c", check], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-c", check, str(tmp_path)], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src)},
     ).stdout
-    assert out.strip() == "[]"
+    assert out.split("\n") == ["[]", "[]", ""]  # after the import, and after a cold survey
+    assert (tmp_path / "birregular.csv").exists()

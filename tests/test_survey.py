@@ -1,11 +1,9 @@
 import collections
-import concurrent.futures.process
 import ctypes
 import dataclasses
 import inspect
 import json
 import math
-import multiprocessing
 import os
 import platform
 import re
@@ -15,8 +13,10 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from genocchi import classify as classify_mod
@@ -552,10 +552,46 @@ def test_b_stage_failure_costs_only_the_failing_prime(tmp_cache, monkeypatch, th
     with pytest.raises(ArithmeticError, match="kernel failure") as info:
         run_survey(small_config(tmp_cache, x=500, threads=threads))
     assert "in failing_at_101" in str(info.value.__cause__)  # the worker's traceback
+    _assert_no_child_left()
     saved = ClassificationCache(tmp_cache).load_b_pairs()
     # the rest of 101's batch, and every batch before and after it, is kept
     assert sorted(saved) == [int(p) for p in sieve_primes(500) if p >= 5 and p != 101]
     assert saved[37] == (32,)
+
+
+def _assert_no_child_left():
+    # every forked worker was reaped: none is left running or as a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_b_stage_worker_death_is_a_survey_error(tmp_cache, monkeypatch, threads):
+    real = survey_mod.b_irregular_pairs
+
+    def dying_at_101(p):
+        if p == 101:
+            os._exit(3)  # the worker dies mid-batch, before it sends any result
+        return real(p)
+
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", dying_at_101)
+    todo = [int(p) for p in sieve_primes(500)[::-1] if p >= 5]
+    workers = survey_mod._worker_count(threads)
+    batches = survey_mod._batches(todo, survey_mod.BATCHES_PER_WORKER * workers)
+    dead = next(i for i, batch in enumerate(batches) if 101 in batch)
+    message = (rf"B-stage worker \d+ died \(exit status 3\) in its batch of the primes "
+               rf"{batches[dead][-1]}\.\.{batches[dead][0]}$")
+    with pytest.raises(SurveyError, match=message):
+        run_survey(small_config(tmp_cache, x=500, threads=threads))
+    _assert_no_child_left()
+    saved = ClassificationCache(tmp_cache).load_b_pairs()
+    kept = [i for i, batch in enumerate(batches) if batch[0] in saved]
+    # whole batches: every batch handed out before the death finished and was
+    # saved, the dead worker's alone is lost, and none was handed out after it
+    assert sorted(saved) == sorted(p for i in kept for p in batches[i])
+    assert dead > 0 and sorted(kept + [dead]) == list(range(len(kept) + 1))
+    assert max(kept + [dead]) < dead + workers
+    assert all(saved[p] == b_irregular_pairs(p) for p in sorted(saved)[:5])
 
 
 def test_interrupt_keeps_finished_batches(tmp_cache):
@@ -599,15 +635,14 @@ def _faults_of_second_call(p):
     or not hasattr(ctypes.CDLL(None), "mallopt"),
     reason="needs glibc's mallopt",
 )
-def test_b_stage_workers_reuse_freed_memory():
+def test_b_stage_workers_reuse_freed_memory(tmp_cache, monkeypatch):
     # near p = 40000 the kernel's arrays are over glibc's default mmap threshold:
-    # without the worker setting each call maps them afresh, about 1000 page faults
-    context = multiprocessing.get_context("fork")
-    with concurrent.futures.process.ProcessPoolExecutor(
-        1, mp_context=context, initializer=survey_mod._b_worker_init
-    ) as pool:
-        faults = pool.submit(_faults_of_second_call, 39989).result(timeout=60)
-    assert faults < 100
+    # without the worker setting each call maps them afresh, about 1000 page faults.
+    # The forked worker measures its own faults and sends them back as the "pairs".
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", lambda p: (_faults_of_second_call(p),))
+    pairs = survey_mod._ensure_b_pairs(np.array([39989]), ClassificationCache(tmp_cache), 1, True)
+    assert pairs[39989][0] < 100
+    _assert_no_child_left()
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
@@ -874,32 +909,30 @@ def test_worker_count_is_capped_at_the_usable_cpus():
     assert survey_mod._worker_count(1) == 1
 
 
-class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: runs each task at once, in this process."""
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-    def shutdown(self, cancel_futures):
-        pass
-
-
 def test_pool_is_capped_at_the_batches(tmp_cache, monkeypatch):
-    sizes = []
+    workers = []
 
-    def pool(max_workers, **options):
-        sizes.append(max_workers)
-        return _InlineExecutor()
+    def thread_worker(batches, inherited):
+        """Stands in for _fork_b_worker: the worker's loop on a thread of this
+        process, over the same two pipes, with no process to reap."""
+        assert len(inherited) == 2 * len(workers)  # both ends of every earlier worker
+        tasks, task_end = os.pipe()
+        result_end, results = os.pipe()
+        workers.append(threading.Thread(target=survey_mod._b_worker,
+                                        args=(tasks, results, batches)))
+        workers[-1].start()
+        return survey_mod._BWorker(None, task_end, open(result_end, "rb"))
 
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(survey_mod, "_fork_b_worker", thread_worker)
     monkeypatch.setattr(survey_mod.os, "sched_getaffinity", lambda pid: set(range(64)))
-    run_survey(small_config(tmp_cache, x=100, threads=5000))
+    cold = run_survey(small_config(tmp_cache, x=100, threads=5000))
     # 64 CPUs would ask for 1024 batches, but 23 primes make at most 23 of them
-    assert sizes == [23]
-    run_survey(small_config(tmp_cache, x=100, threads=5000))  # warm: no pool at all
-    assert sizes == [23]
+    assert len(workers) == 23
+    assert run_survey(small_config(tmp_cache, x=100, threads=5000)) == cold
+    assert len(workers) == 23  # warm: no worker at all
+    for worker in workers:  # each one left its loop when its batch pipe closed
+        worker.join(timeout=10)
+        assert not worker.is_alive()
 
 
 def test_batches_carry_equal_work():
@@ -921,6 +954,7 @@ def test_worker_pool_matches_serial(tmp_path):
         SurveyConfig(ell=3, x=1500, threads=4, cache_dir=tmp_path / "four", quiet=True)
     )
     assert serial == pooled
+    _assert_no_child_left()
 
 
 def test_cli_table_small(tmp_cache, capsys):
