@@ -2,6 +2,12 @@
 irregularity ratios per progression against the conjectured and lower-bound
 ratios, and emit the result tables as text, CSV, or JSON.
 
+`run_survey` takes one or more configs with the same x, threads, cache_dir and
+quiet, and runs them as one pass: one sieve, one B-stage (so one read of
+birregular.csv, and one write if any prime was missing), then the orders and
+flags of each distinct ell. `run_table` runs each reference table as one such
+call, one config per base.
+
 Two counting conventions, and how they map to the published Tables 1-3:
 
 - Numerator: count_irregular counts the primes p <= x that the rules of
@@ -52,6 +58,7 @@ before any write.
 
 from __future__ import annotations
 
+import _signal
 import collections
 import contextlib
 import ctypes
@@ -356,10 +363,10 @@ def _b_worker_init() -> None:
     256 MiB of freed heap, so the kernel's arrays (over the default 128 KiB mmap
     threshold above p ~ 2^14) are reused, not mapped and unmapped for every
     prime. Without mallopt, or where it refuses the mmap threshold, glibc's
-    defaults stay, which costs time but no results."""
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    defaults stay, which costs time but no results. It uses the built-in
+    `_signal`: on Python 3.11, importing `signal` costs a forked worker about
+    390 page faults and 2-3 ms, `_signal` 33 faults and 0.1 ms."""
+    _signal.signal(_signal.SIGINT, _signal.SIG_IGN)
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is None:
         return
@@ -529,43 +536,66 @@ def _ensure_orders(ell: int, primes: np.ndarray, cache: ClassificationCache) -> 
     return rows
 
 
-def run_survey(config: SurveyConfig) -> list[SurveyRow]:
-    """Classify all primes <= x and build one row per (progression, variant).
+#: the SurveyConfig fields that the configs of one run_survey call must share
+_SHARED_FIELDS = ("x", "threads", "cache_dir", "quiet")
 
-    Stages, cheapest first: each row's theoretical columns (density's rules),
-    the sieve, the check that every progression holds a prime, the B-stage,
-    the orders, the flags and the counts.
+
+def run_survey(*configs: SurveyConfig) -> list[SurveyRow]:
+    """Classify all primes <= x and build one row per (progression, variant) of
+    each config, in config order.
+
+    All configs must have the same x, threads, cache_dir and quiet, so that
+    they share one pass: run_survey(a, b) returns run_survey(a) + run_survey(b)
+    and leaves the same cache files, but sieves once and reads and writes
+    birregular.csv once. Stages, cheapest first: every row's theoretical
+    columns (density's rules), the sieve, the check that every progression
+    holds a prime, the B-stage, then for each distinct ell its orders and
+    flags, and the counts.
     """
-    theory = {  # once per row; density raises here for a row with no closed form
-        (d, a, v): {"conjectured": round(conjectured_ratio(v, config.ell, d, a), 9),
-                    "lower_bound": round(lower_bound_ratio(v, config.ell, d, a), 9)}
-        for d, a in config.progressions for v in config.variants
-    }
-    primes = sieve_primes(config.x)
-    classes = {(d, a): primes % d == a % d for d, a in config.progressions}
+    if not configs:
+        raise ValueError("run_survey needs at least one SurveyConfig")
+    first = configs[0]
+    for i, config in enumerate(configs[1:], 1):
+        for name in _SHARED_FIELDS:
+            if getattr(config, name) != getattr(first, name):
+                raise ValueError(
+                    f"the configs of one survey must share {', '.join(_SHARED_FIELDS)}: "
+                    f"config {i} has {name}={getattr(config, name)!r}, "
+                    f"config 0 {getattr(first, name)!r}")
+    theory = [  # once per row; density raises here for a row with no closed form
+        {(d, a, v): {"conjectured": round(conjectured_ratio(v, config.ell, d, a), 9),
+                     "lower_bound": round(lower_bound_ratio(v, config.ell, d, a), 9)}
+         for d, a in config.progressions for v in config.variants}
+        for config in configs
+    ]
+    primes = sieve_primes(first.x)
+    classes = {(d, a): primes % d == a % d for config in configs for d, a in config.progressions}
     empty = [f"{a} mod {d}" for (d, a), in_class in classes.items() if not in_class.any()]
     if empty:  # before the B-stage: a row with no prime has no ratio
-        raise ValueError(f"no prime <= {config.x} is {', '.join(empty)}")
-    cache = ClassificationCache(resolve_cache_dir(config.cache_dir))
-    b_pairs = _ensure_b_pairs(primes, cache, config.threads, config.quiet)
-    orders = _ensure_orders(config.ell, primes, cache)
+        raise ValueError(f"no prime <= {first.x} is {', '.join(empty)}")
+    cache = ClassificationCache(resolve_cache_dir(first.cache_dir))
+    b_pairs = _ensure_b_pairs(primes, cache, first.threads, first.quiet)
     # both sides are unique, and saying so skips np.unique, whose first call
     # imports numpy.ma (about 10 ms)
     b = np.isin(primes, [p for p, idx in b_pairs.items() if idx], assume_unique=True)
-    g, _, hminus, hplus = irregular_flags(config.ell, primes, orders, b)
-    flags = {"G": g, "Hminus": hminus, "Hplus": hplus}
 
+    flags: dict[int, dict[str, np.ndarray]] = {}  # by ell
     rows: list[SurveyRow] = []
-    for d, a in config.progressions:
-        in_class = classes[d, a]
-        denominator = int(np.count_nonzero(in_class))
-        for variant in config.variants:
-            count = int(np.count_nonzero(flags[variant] & in_class))
-            rows.append(SurveyRow(
-                ell=config.ell, d=d, a=a, x=config.x, count_irregular=count,
-                count_primes=denominator, experimental=round(count / denominator, 6),
-                variant=variant, **theory[d, a, variant],
-            ))
+    for config, row_theory in zip(configs, theory):
+        if config.ell not in flags:
+            orders = _ensure_orders(config.ell, primes, cache)
+            g, _, hminus, hplus = irregular_flags(config.ell, primes, orders, b)
+            flags[config.ell] = {"G": g, "Hminus": hminus, "Hplus": hplus}
+        for d, a in config.progressions:
+            in_class = classes[d, a]
+            denominator = int(np.count_nonzero(in_class))
+            for variant in config.variants:
+                count = int(np.count_nonzero(flags[config.ell][variant] & in_class))
+                rows.append(SurveyRow(
+                    ell=config.ell, d=d, a=a, x=config.x, count_irregular=count,
+                    count_primes=denominator, experimental=round(count / denominator, 6),
+                    variant=variant, **row_theory[d, a, variant],
+                ))
     return rows
 
 
@@ -666,7 +696,9 @@ def run_table(
     quiet: bool = False,
     deterministic: bool = False,
 ) -> list[SurveyRow]:
-    """Run the surveys backing one of the reference tables.
+    """Run the surveys backing one of the reference tables, as one run_survey
+    call over one config per base: one sieve, one read of birregular.csv and
+    one B-stage for the whole table.
 
     `deterministic` is accepted and ignored, since rows carry no timestamp;
     emit_table's argument of that name decides the CSV header. The scripts
@@ -674,16 +706,8 @@ def run_table(
     """
     if which not in TABLE_PRESETS:
         raise ValueError(f"unknown table {which!r}; expected one of {sorted(TABLE_PRESETS)}")
-    rows: list[SurveyRow] = []
-    for ell, progressions, variants in TABLE_PRESETS[which]:
-        cfg = SurveyConfig(
-            ell=ell,
-            x=x,
-            progressions=progressions,
-            variants=variants,
-            threads=threads,
-            cache_dir=cache_dir,
-            quiet=quiet,
-        )
-        rows.extend(run_survey(cfg))
-    return rows
+    return run_survey(*(
+        SurveyConfig(ell=ell, x=x, progressions=progressions, variants=variants,
+                     threads=threads, cache_dir=cache_dir, quiet=quiet)
+        for ell, progressions, variants in TABLE_PRESETS[which]
+    ))

@@ -48,6 +48,13 @@ def small_config(tmp_cache, **kw):
     return SurveyConfig(**defaults)
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
 # ---------------------------------------------------------------- config validation
 
 
@@ -110,6 +117,10 @@ def test_density_rules_fail_before_the_sieve(tmp_cache, monkeypatch, overrides, 
     with pytest.raises(ValueError) as raised:
         run_survey(cfg)
     assert str(raised.value) == message
+    # so does a bad last config after a good one
+    with pytest.raises(ValueError) as raised:
+        run_survey(small_config(tmp_cache, x=1000), cfg)
+    assert str(raised.value) == message
     assert not tmp_cache.exists()
 
 
@@ -117,17 +128,10 @@ def test_each_row_evaluates_its_density_once(tmp_cache, monkeypatch):
     # one conjectured and one lower-bound call per row, so two `_delta_for_kind`
     # calls: 100 for the 50 rows of g1, hpm and g3, whatever x is
     calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
     monkeypatch.setattr(density_mod, "_delta_for_kind",
-                        counted("delta", density_mod._delta_for_kind))
+                        _counted(calls, "delta", density_mod._delta_for_kind))
     for name in ("conjectured_ratio", "lower_bound_ratio"):
-        monkeypatch.setattr(survey_mod, name, counted(name, getattr(survey_mod, name)))
+        monkeypatch.setattr(survey_mod, name, _counted(calls, name, getattr(survey_mod, name)))
     cfg = small_config(tmp_cache, x=300, progressions=((1, 1), (4, 1), (4, 3)))
     assert not calls
     rows = run_survey(cfg)
@@ -165,6 +169,14 @@ def test_empty_progression_fails_before_the_b_stage(tmp_cache, monkeypatch, caps
     cfg = small_config(tmp_cache, x=100, progressions=((1000, 1), (4, 1), (1000, 9)))
     with pytest.raises(ValueError, match=r"^no prime <= 100 is 1 mod 1000, 9 mod 1000$"):
         run_survey(cfg)
+    # over several configs: each empty class once, in the order the configs first name it
+    configs = [
+        small_config(tmp_cache, x=100),
+        small_config(tmp_cache, x=100, ell=5, variants=("G",), progressions=((1000, 9), (4, 1))),
+        cfg,
+    ]
+    with pytest.raises(ValueError, match=r"^no prime <= 100 is 9 mod 1000, 1 mod 1000$"):
+        run_survey(*configs)
     assert not tmp_cache.exists()
     argv = ["survey", "--ell", "3", "--x", "100", "--progression", "1000,1",
             "--cache-dir", str(tmp_cache), "--quiet"]
@@ -172,6 +184,75 @@ def test_empty_progression_fails_before_the_b_stage(tmp_cache, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: no prime <= 100 is 1 mod 1000\n"
     assert not tmp_cache.exists()
+
+
+# ---------------------------------------------------------------- several configs, one pass
+
+
+def test_survey_of_several_configs_is_the_sum_of_their_surveys(tmp_path, monkeypatch):
+    def configs(root):  # two bases, one of them twice
+        return [
+            small_config(root, progressions=((1, 1), (4, 1))),
+            small_config(root, ell=5, variants=("Hplus",)),
+            small_config(root, variants=("G",), progressions=((3, 2), (1, 1))),
+        ]
+
+    joint, parts = tmp_path / "joint", tmp_path / "parts"
+    for warm in (False, True):
+        with monkeypatch.context() as m:
+            if warm:
+                m.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
+                m.setattr(survey_mod, "prime_orders", _no_recompute)
+            rows = run_survey(*configs(joint))
+            assert rows == [row for cfg in configs(parts) for row in run_survey(cfg)], warm
+        assert [(r.ell, r.d, r.a, r.variant) for r in rows] == [
+            (3, 1, 1, "G"), (3, 1, 1, "Hminus"), (3, 4, 1, "G"), (3, 4, 1, "Hminus"),
+            (5, 1, 1, "Hplus"), (3, 3, 2, "G"), (3, 1, 1, "G"),
+        ]
+        names = sorted(path.name for path in joint.iterdir())
+        assert names == ["birregular.csv", "orders_3.csv", "orders_5.csv"]
+        assert sorted(path.name for path in parts.iterdir()) == names
+        for name in names:
+            assert (joint / name).read_bytes() == (parts / name).read_bytes(), (warm, name)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("x", 3000), ("threads", 1), ("cache_dir", "elsewhere"), ("quiet", False)]
+)
+def test_configs_of_one_survey_share_x_threads_cache_and_quiet(tmp_cache, monkeypatch,
+                                                               field, value):
+    monkeypatch.setattr(survey_mod, "sieve_primes", _no_recompute)
+    configs = [small_config(tmp_cache), small_config(tmp_cache, ell=5),
+               small_config(tmp_cache, ell=7, **{field: value})]
+    message = ("the configs of one survey must share x, threads, cache_dir, quiet: "
+               f"config 2 has {field}={value!r}, config 0 {getattr(configs[0], field)!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_survey(*configs)
+    with pytest.raises(ValueError, match="at least one SurveyConfig"):
+        run_survey()
+    assert not tmp_cache.exists()
+
+
+def test_a_table_is_one_pass(tmp_cache, monkeypatch):
+    # one sieve and one read of birregular.csv per table, and one round of forks
+    calls = collections.Counter()
+    monkeypatch.setattr(survey_mod, "sieve_primes",
+                        _counted(calls, "sieve", survey_mod.sieve_primes))
+    monkeypatch.setattr(ClassificationCache, "load_b_pairs",
+                        _counted(calls, "load", ClassificationCache.load_b_pairs))
+    monkeypatch.setattr(survey_mod, "_fork_b_worker",
+                        _counted(calls, "fork", survey_mod._fork_b_worker))
+    cold = run_table("g1", 1000, threads=2, cache_dir=tmp_cache, quiet=True)
+    assert calls == {"sieve": 1, "load": 1, "fork": survey_mod._worker_count(2)}
+    _assert_no_child_left()
+    monkeypatch.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
+    monkeypatch.setattr(survey_mod, "prime_orders", _no_recompute)
+    for which in ("g1", "hpm", "g3"):
+        calls.clear()
+        rows = run_table(which, 1000, threads=2, cache_dir=tmp_cache, quiet=True)
+        assert calls == {"sieve": 1, "load": 1}, which
+        if which == "g1":
+            assert rows == cold
 
 
 # ---------------------------------------------------------------- counting
@@ -621,6 +702,34 @@ def test_interrupt_keeps_finished_batches(tmp_cache):
     largest = [int(p) for p in sieve_primes(20000)[::-1]][: len(saved)]
     assert sorted(saved) == sorted(largest)
     assert all(saved[p] == b_irregular_pairs(p) for p in largest[-20:])
+
+
+def test_b_stage_worker_ignores_sigint_without_importing_signal(tmp_cache):
+    # a fresh interpreter: pytest itself has imported `signal`. The forked worker
+    # reports its own state as the "pairs" of p = 5.
+    script = textwrap.dedent("""
+        import _signal, sys
+        import numpy as np
+        from genocchi import survey
+
+        def state(p):
+            ignored = _signal.getsignal(_signal.SIGINT) == _signal.SIG_IGN
+            return int(ignored), int("signal" in sys.modules)
+
+        survey.b_irregular_pairs = state
+        cache = survey.ClassificationCache(sys.argv[1])
+        pairs = survey._ensure_b_pairs(np.array([5]), cache, 1, True)
+        print(pairs[5], _signal.getsignal(_signal.SIGINT) is _signal.default_int_handler,
+              "signal" in sys.modules)
+    """)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_cache)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(survey_mod.__file__).parent.parent)},
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    # the worker ignores SIGINT and never loaded `signal`; the parent keeps its handler
+    assert done.stdout == "(1, 0) True False\n"
 
 
 def _faults_of_second_call(p):
