@@ -4,10 +4,11 @@ A prime is classified from multiplicative orders plus a B-irregularity flag.
 `b_irregular_pairs` finds the flag with the power-sum kernel, one prime at a
 time. The orders and the rules work on whole arrays of primes: `prime_orders`
 gives every prime's (ord_p(ell), ord_p(ell**2), (ell/p)) row from one
-`modarith.mult_orders` pass, and `irregular_flags` applies the rules (order
-thresholds and the p = 3 and p = ell edge cases) to those rows. A survey
-calls `irregular_flags` once for the whole sieve and `prime_orders` once for
-the primes missing from its orders cache, and `classify_prime(ell, p)` is
+`modarith.mult_orders` pass, for one base or for many at once, and
+`irregular_flags` applies the rules (order thresholds and the p = 3 and
+p = ell edge cases) to those rows. A survey calls `irregular_flags` once per
+base for the whole sieve and `prime_orders` once for the primes missing from
+the orders caches of all its bases, and `classify_prime(ell, p)` is
 their one-row case, with the one-prime checks and the flag from the kernel.
 `wieferich_search` lists a base's Wieferich primes, the other H-sequence divisors.
 
@@ -67,19 +68,24 @@ def b_irregular_pairs(p: int) -> tuple[int, ...]:
     return tuple(2 * (int(i) + 1) for i in np.flatnonzero(sums == 0))
 
 
-def prime_orders(ell: int, primes) -> np.ndarray:
+def prime_orders(ell, primes) -> np.ndarray:
     """The (n, 3) int64 rows (ord_p(ell), ord_p(ell**2), (ell/p)) for odd primes p.
 
-    `_order_rows` derives all three columns from o = ord_p(ell). The row of
-    p = ell is zeros; every other p goes to `mult_orders`, which checks that it
-    is odd and below 2**31 but not that it is prime. ell must be prime.
+    ell is one prime base for every p, or an array of prime bases aligned with
+    `primes`, so that one call, and one `mult_orders` pass with one factor
+    sieve, serves the rows of many bases. `_order_rows` derives all three
+    columns from o = ord_p(ell). The row of p = ell is zeros. Every p goes to
+    `mult_orders` (with the base 1 where p = ell), which checks that it is odd
+    and below 2**31 but not that it is prime. Every base must be prime.
     """
-    if not is_prime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
     p = np.asarray(primes, dtype=np.int64).ravel()
-    o = np.zeros_like(p)
-    other = p != ell
-    o[other] = mult_orders(ell, p[other])
+    ells = np.asarray(ell, dtype=np.int64).ravel()  # one base, or one per prime
+    for base in dict.fromkeys(ells[np.diff(ells, prepend=ells[:1] - 1) != 0].tolist()):
+        if not is_prime(base):  # each run of equal bases is checked once
+            raise ValueError(f"ell must be prime, got {base}")
+    own = p == ells
+    o = mult_orders(np.where(own, 1, ells), p)  # 1 is a harmless base where p = ell
+    o[own] = 0
     return _order_rows(p, o)
 
 

@@ -22,7 +22,9 @@ Base ell = 2 keeps its own delta_g rows, but alpha_primroot and alpha_minus
 have closed forms only over all primes (A and 3/4 * A) and reject ell = 2 in a
 progression. Every entry point takes a prime base ell and raises ValueError
 for any other; this module alone decides which (kind, ell, d, a) has a closed
-form, and every ratio goes through it.
+form, and every ratio goes through it: `ratios` gives a row's conjectured
+and lower-bound ratios from one evaluation of its delta, and
+`conjectured_ratio` and `lower_bound_ratio` are its two halves.
 
 All coefficients are exact Fractions; floats appear only when a value is
 rendered against the reference Artin constant. The full tables these rows
@@ -48,6 +50,7 @@ __all__ = [
     "alpha_minus",
     "delta_minus_total",
     "rho_plus_one",
+    "ratios",
     "conjectured_ratio",
     "lower_bound_ratio",
     "RATIO_KINDS",
@@ -234,11 +237,18 @@ def _delta_for_kind(kind: str, ell: int, d: int, a: int) -> LinearInA:
     raise ValueError(f"kind must be one of {RATIO_KINDS}, got {kind!r}")
 
 
+def ratios(kind: str, ell: int, d: int = 1, a: int = 1) -> tuple[float, float]:
+    """(conjectured, lower bound) share of irregular primes, from one delta:
+    (1 - delta / sqrt(e), max(0, 1 - delta))."""
+    delta = float(_delta_for_kind(kind, ell, d, a))
+    return 1.0 - delta / SQRT_E, max(0.0, 1.0 - delta)
+
+
 def conjectured_ratio(kind: str, ell: int, d: int = 1, a: int = 1) -> float:
     """Conjectured share of irregular primes: 1 - delta / sqrt(e)."""
-    return 1.0 - float(_delta_for_kind(kind, ell, d, a)) / SQRT_E
+    return ratios(kind, ell, d, a)[0]
 
 
 def lower_bound_ratio(kind: str, ell: int, d: int = 1, a: int = 1) -> float:
     """Unconditional lower bound on the share of irregular primes: 1 - delta."""
-    return max(0.0, 1.0 - float(_delta_for_kind(kind, ell, d, a)))
+    return ratios(kind, ell, d, a)[1]

@@ -1,7 +1,8 @@
 """Batched modular power sums: one exact O(p log p) chirp-convolution kernel.
 
 The workhorse is `power_sums(p)`: for an odd prime p and its least primitive
-root g it returns the Voronoi sums at the multiplier g,
+root g it returns the Voronoi sums at the multiplier g (`_power_sums_at(p, g)`
+computes them at any primitive root g),
 
     S(2n) = sum_{j=1}^{p-1} j**(2n-1) * floor(j*g/p)  mod p
                                                for 2n = 2, 4, ..., p-3.
@@ -125,17 +126,26 @@ def power_sums(p: int) -> np.ndarray:
         raise ValueError(f"p must be an odd prime, got {p}")
     if p > MAX_KERNEL_PRIME:
         raise ValueError(f"p={p} exceeds the kernel exactness bound {MAX_KERNEL_PRIME}")
-    half = (p - 1) // 2
-    if half < 2:
+    if p == 3:  # no index 2n <= p - 3
         return np.empty(0, dtype=np.int64)
+    return _power_sums_at(p, primitive_root(p))  # raises for composite p
+
+
+def _power_sums_at(p: int, g: int) -> np.ndarray:
+    """`power_sums` at a given primitive root 1 < g < p of a checked prime p >= 5.
+
+    Any primitive root vanishes at the same 2n, since 1 - g**(2n) is a unit for
+    every 2n <= p - 3, and the error bounds depend on p alone; only tests pass
+    a root other than the least one.
+    """
+    half = (p - 1) // 2
     order = p - 1
-    g = primitive_root(p)  # raises for composite p; 1 < g < p, so |c_j| < p
     pw = _balanced_powers(g, p)  # pw[e] = g**e; pw[-e] = g**(order - e) = g**-e
     t = np.arange(half, dtype=np.int64)
     e = t * (t - 1)  # below half**2
     _reduce(e, order)  # e_t = t(t-1) mod (p-1)
     u = np.abs(pw[:half])  # j = |g**i| in [1, half]
-    u *= g
+    u *= g  # 1 < g < p, so |c_j| < p
     u //= p
     u *= 2
     u += 1 - g  # c_j

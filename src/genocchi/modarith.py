@@ -3,8 +3,9 @@
 Two sieves: `sieve_primes` lists the primes up to a limit, and a
 smallest-prime-factor sieve factors every p - 1 of a prime array at once.
 `mult_orders` builds on the second one: it finds ord_p(g) for a whole array of
-primes in one numpy pass, with every modular product taken in int64, so each
-modulus must stay below MAX_ORDER_MODULUS = 2**31. `mult_order` is its
+primes, each with its own base g or all with one, from one factor sieve and in
+chunks of _ORDER_CHUNK primes, with every modular product taken in int64, so
+each modulus must stay below MAX_ORDER_MODULUS = 2**31. `mult_order` is its
 one-prime counterpart, by trial division of p - 1 and Python integers.
 
 All functions are pure; prime arrays are frozen after construction and safe to
@@ -30,6 +31,11 @@ __all__ = [
 
 #: `mult_orders` multiplies two residues mod p in int64, and p**2 < 2**62 needs p < 2**31
 MAX_ORDER_MODULUS = 2**31
+#: primes per chunk of `mult_orders`: each chunk's factor layers and powers stay
+#: cache-sized, and the call's memory bounded, however many primes it takes. At
+#: 2**13 the 5,344 rows of Table 1's bases at x = 5000 were one chunk, and the
+#: call peaked 1.3 MiB above eight one-base calls; 2**10 matches them
+_ORDER_CHUNK = 1 << 10
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -107,32 +113,51 @@ def mult_order(g: int, p: int) -> int:
     return t
 
 
-def mult_orders(g: int, primes) -> np.ndarray:
+def mult_orders(g, primes) -> np.ndarray:
     """ord_p(g) for every p in `primes`, odd primes not dividing g, as an int64 array.
 
-    Each prime power q**s dividing p - 1 (s = 1 .. e_q) is one entry with
-    exponent (p - 1) / q**s, and one vectorised square-and-multiply raises g to
-    every entry's exponent at once. g**((p-1)/q**s) = 1 holds exactly for
-    s = 1 .. s_q, where q**s_q is the largest power of q dividing
-    (p - 1) / ord_p(g), so the order is (p - 1) over the product of q over the
-    entries that give 1.
-    The factors come from a smallest-prime-factor sieve of the cofactors
+    g is one integer base for every prime, or an array of bases aligned with
+    `primes` (the order of g[i] mod p[i]). Each prime power q**s dividing p - 1
+    (s = 1 .. e_q) is one entry with exponent (p - 1) / q**s, and one vectorised
+    square-and-multiply raises g to every entry's exponent at once.
+    g**((p-1)/q**s) = 1 holds exactly for s = 1 .. s_q, where q**s_q is the
+    largest power of q dividing (p - 1) / ord_p(g), so the order is (p - 1) over
+    the product of q over the entries that give 1.
+    The factors come from one smallest-prime-factor sieve of the cofactors
     (p - 1) / 2, one int32 per integer up to max(primes) / 2, so the inputs are
-    meant to be sieve-sized (the survey stops at kernels.MAX_KERNEL_PRIME).
-    Every modulus must be odd and below MAX_ORDER_MODULUS, and that is checked
-    before the sieve is built; primality is not checked (the primes come from a
-    sieve, or the caller checks the one prime it passes).
+    meant to be sieve-sized (the survey stops at kernels.MAX_KERNEL_PRIME). The
+    rows are factored and raised in chunks of _ORDER_CHUNK primes, so the
+    arrays stay cache-sized and the memory bounded, whatever the number of rows.
+    Every modulus must be odd and below MAX_ORDER_MODULUS, and no base divisible
+    by its prime; that is checked before the sieve is built. Primality is not
+    checked (the primes come from a sieve, or the caller checks the one prime it
+    passes).
     """
     p = np.asarray(primes, dtype=np.int64).ravel()
+    bases = np.asarray(g, dtype=np.int64)
+    if bases.ndim:
+        bases = bases.ravel()
+        if bases.shape != p.shape:
+            raise ValueError(f"{bases.size} bases for {p.size} primes; give one base or one each")
     if p.size == 0:
         return np.zeros(0, dtype=np.int64)
     bad = p[(p < 3) | (p % 2 == 0) | (p >= MAX_ORDER_MODULUS)]
     if bad.size:
         raise ValueError(f"moduli must be odd primes below 2**31, got {bad[0]}")
-    base = g % p
+    base = bases % p
     if not base.all():
-        raise ValueError(f"{p[base == 0][0]} divides {g}; order undefined")
+        i = np.flatnonzero(base == 0)[0]
+        raise ValueError(f"{p[i]} divides {bases[i] if bases.ndim else g}; order undefined")
     spf = _smallest_factors(int(p.max()) // 2)
+    out = np.empty_like(p)
+    for start in range(0, p.size, _ORDER_CHUNK):
+        chunk = slice(start, start + _ORDER_CHUNK)
+        out[chunk] = _orders(base[chunk], p[chunk], spf)
+    return out
+
+
+def _orders(base: np.ndarray, p: np.ndarray, spf: np.ndarray) -> np.ndarray:
+    """ord_p(base) elementwise, for residues 0 < base < p and spf sieved to max(p) / 2."""
     # one layer per prime factor of p - 1 taken with multiplicity, ascending: 2
     # first (every p - 1 is even), then the factors of the cofactor (p - 1) / 2
     layers = []
@@ -147,6 +172,7 @@ def mult_orders(g: int, primes) -> np.ndarray:
         qpow = np.where(q == prev, qpow * q, q)
         rest //= q
     entry_rows, entry_q, exponent = (np.concatenate(parts) for parts in zip(*layers))
+    del layers  # the concatenated entries replace the layers before the powering
     hit = _pow_mod(base, p, exponent, entry_rows) == 1
     missing = np.ones(p.size, dtype=np.int64)
     np.multiply.at(missing, entry_rows[hit], entry_q[hit])

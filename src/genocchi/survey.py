@@ -4,9 +4,9 @@ ratios, and emit the result tables as text, CSV, or JSON.
 
 `run_survey` takes one or more configs with the same x, threads, cache_dir and
 quiet, and runs them as one pass: one sieve, one B-stage (so one read of
-birregular.csv, and one write if any prime was missing), then the orders and
-flags of each distinct ell. `run_table` runs each reference table as one such
-call, one config per base.
+birregular.csv, and one write if any prime was missing), one orders stage for
+all the distinct ell, then each ell's flags. `run_table` runs each reference
+table as one such call, one config per base.
 
 Two counting conventions, and how they map to the published Tables 1-3:
 
@@ -45,15 +45,17 @@ and each would otherwise be mapped and unmapped again for every prime, about
 1,000 page faults per prime near p = 40,000. The caller's process keeps its
 own malloc settings.
 
-The orders stage (`_ensure_orders`) runs in the parent, on one (n, 4) int64
-table of rows (p, ord, ord_sq, jacobi) from the file to the flags:
-`ClassificationCache.load_order_table` reads orders_<ell>.csv sorted by p,
-`np.searchsorted` aligns the survey's odd primes with it, the missing primes
-get their rows from one `classify.prime_orders` call, and if any were missing,
-`save_order_table` writes the merged table once, the file's rows above x
-included. A warm survey computes no order at all, but checks every row it
-serves from the file against that row's own ord, in one more numpy pass,
-before any write.
+The orders stage (`_ensure_orders`) runs in the parent, once for all the
+distinct ell of a survey, on (n, 4) int64 tables of rows (p, ord, ord_sq,
+jacobi) from the files to the flags: `ClassificationCache.load_order_table`
+reads each orders_<ell>.csv sorted by p, and `np.searchsorted` aligns the
+survey's odd primes with it. Every row served from any of the files is then
+checked against its own ord in one numpy pass, before any write; a bad row
+names its base's file, and no file is written. The rows missing from all the
+files come from one `classify.prime_orders` call, with one base per prime, so
+one factor sieve serves every base. Last, `save_order_table` writes each file
+that gained rows once, its rows above x included. A warm survey computes no
+order at all.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .classify import _order_rows, b_irregular_pairs, irregular_flags, prime_orders
-from .density import conjectured_ratio, lower_bound_ratio
+from .density import ratios
 from .kernels import MAX_KERNEL_PRIME
 from .modarith import sieve_primes
 
@@ -196,7 +198,8 @@ class ClassificationCache:
     as absent: its primes are recomputed and the file rewritten. A malformed row
     under the current header raises SurveyError, and so does an order row a
     survey reads that contradicts its own ord: `_ensure_orders` checks, in one
-    array pass, that ord >= 0 divides p - 1, that ord_sq and jacobi are the values
+    array pass over the rows of all the survey's bases and before any orders file
+    is written, that ord >= 0 divides p - 1, that ord_sq and jacobi are the values
     `classify.prime_orders` derives from ord, and that the row is zeros exactly
     at p = ell. Bump the version in CACHE_HEADER whenever the row layout or the
     stored values could change.
@@ -508,31 +511,46 @@ def _ensure_b_pairs(
     return known
 
 
-def _ensure_orders(ell: int, primes: np.ndarray, cache: ClassificationCache) -> np.ndarray:
-    """One (ord, ord_sq, jacobi) row per prime, aligned with `primes`; 2 gets zeros."""
-    table = cache.load_order_table(ell)
+def _ensure_orders(
+    ells: list[int], primes: np.ndarray, cache: ClassificationCache
+) -> dict[int, np.ndarray]:
+    """For each distinct ell, one (ord, ord_sq, jacobi) row per prime, aligned with
+    `primes`; 2 gets zeros. Every base's orders_<ell>.csv is read, every row
+    served from a file is checked in one array pass, the rows missing from any
+    file come from one `prime_orders` call, and only then is each file that
+    gained rows written, its rows above x included."""
     odd = primes[1:]  # 2 is never classified
-    at = np.searchsorted(table[:, 0], odd)
-    found = at < len(table)
-    found[found] = table[at[found], 0] == odd[found]
-    rows = np.zeros((len(primes), 3), np.int64)
-    served = rows[1:]  # a view: writing it fills rows
-    served[found] = table[at[found], 1:]
-    missing = odd[~found]
-    if missing.size:  # one array pass for every missing prime; none for a warm cache
-        served[~found] = prime_orders(ell, missing)
-    if found.any():  # check the rows that came from the file, before it is rewritten
-        p, loaded = odd[found], served[found]
-        o = loaded[:, 0]
-        derived = _order_rows(p, o) != loaded  # its first column is o itself
-        bad = derived[:, 1] | derived[:, 2] | (o < 0) | ((o == 0) != (p == ell))
-        bad |= (p - 1) % np.maximum(o, 1) != 0
-        if bad.any():
-            why = f"the order row of p={p[bad][0]} contradicts its ord"
-            raise _corrupt(cache._orders_path(ell), why)
-    if missing.size:  # the file's rows above x stay
-        new = np.column_stack([missing, served[~found]])
-        cache.save_order_table(ell, np.concatenate([table, new]))
+    tables, found, rows = [], [], {}
+    for ell in ells:
+        table = cache.load_order_table(ell)
+        at = np.searchsorted(table[:, 0], odd)
+        hit = at < len(table)
+        hit[hit] = table[at[hit], 0] == odd[hit]
+        rows[ell] = np.zeros((len(primes), 3), np.int64)
+        rows[ell][1:][hit] = table[at[hit], 1:]
+        tables.append(table)
+        found.append(hit)
+    # every row served from any file, against its own ord, in one pass before any write
+    base = np.repeat(ells, [np.count_nonzero(hit) for hit in found])
+    p = np.concatenate([odd[hit] for hit in found])
+    loaded = np.concatenate([rows[ell][1:][hit] for ell, hit in zip(ells, found)])
+    o = loaded[:, 0]
+    derived = _order_rows(p, o) != loaded  # its first column is o itself
+    bad = derived[:, 1] | derived[:, 2] | (o < 0) | ((o == 0) != (p == base))
+    bad |= (p - 1) % np.maximum(o, 1) != 0
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        why = f"the order row of p={p[first]} contradicts its ord"
+        raise _corrupt(cache._orders_path(int(base[first])), why)
+    missing = [odd[~hit] for hit in found]
+    counts = [m.size for m in missing]
+    if sum(counts):  # one array pass for every missing row of every base; none when warm
+        computed = prime_orders(np.repeat(ells, counts), np.concatenate(missing))
+        parts = np.split(computed, np.cumsum(counts)[:-1])
+        for ell, table, hit, new_p, new in zip(ells, tables, found, missing, parts):
+            if new_p.size:
+                rows[ell][1:][~hit] = new
+                cache.save_order_table(ell, np.concatenate([table, np.column_stack([new_p, new])]))
     return rows
 
 
@@ -546,11 +564,12 @@ def run_survey(*configs: SurveyConfig) -> list[SurveyRow]:
 
     All configs must have the same x, threads, cache_dir and quiet, so that
     they share one pass: run_survey(a, b) returns run_survey(a) + run_survey(b)
-    and leaves the same cache files, but sieves once and reads and writes
-    birregular.csv once. Stages, cheapest first: every row's theoretical
-    columns (density's rules), the sieve, the check that every progression
-    holds a prime, the B-stage, then for each distinct ell its orders and
-    flags, and the counts.
+    and leaves the same cache files, but sieves once, reads and writes
+    birregular.csv once and computes the missing orders of every ell in one
+    pass. Stages, cheapest first: every row's theoretical columns (one
+    `density.ratios` per row), the sieve, the check that every progression
+    holds a prime, the B-stage, the orders of every distinct ell at once, then
+    each ell's flags, and the counts.
     """
     if not configs:
         raise ValueError("run_survey needs at least one SurveyConfig")
@@ -562,9 +581,8 @@ def run_survey(*configs: SurveyConfig) -> list[SurveyRow]:
                     f"the configs of one survey must share {', '.join(_SHARED_FIELDS)}: "
                     f"config {i} has {name}={getattr(config, name)!r}, "
                     f"config 0 {getattr(first, name)!r}")
-    theory = [  # once per row; density raises here for a row with no closed form
-        {(d, a, v): {"conjectured": round(conjectured_ratio(v, config.ell, d, a), 9),
-                     "lower_bound": round(lower_bound_ratio(v, config.ell, d, a), 9)}
+    theory = [  # one delta per row; density raises here for a row with no closed form
+        {(d, a, v): ratios(v, config.ell, d, a)
          for d, a in config.progressions for v in config.variants}
         for config in configs
     ]
@@ -579,22 +597,24 @@ def run_survey(*configs: SurveyConfig) -> list[SurveyRow]:
     # imports numpy.ma (about 10 ms)
     b = np.isin(primes, [p for p, idx in b_pairs.items() if idx], assume_unique=True)
 
-    flags: dict[int, dict[str, np.ndarray]] = {}  # by ell
+    flags: dict[int, dict[str, np.ndarray]] = {}  # by ell, in config order
+    for ell, orders in _ensure_orders(list(dict.fromkeys(c.ell for c in configs)),
+                                      primes, cache).items():
+        g, _, hminus, hplus = irregular_flags(ell, primes, orders, b)
+        flags[ell] = {"G": g, "Hminus": hminus, "Hplus": hplus}
     rows: list[SurveyRow] = []
     for config, row_theory in zip(configs, theory):
-        if config.ell not in flags:
-            orders = _ensure_orders(config.ell, primes, cache)
-            g, _, hminus, hplus = irregular_flags(config.ell, primes, orders, b)
-            flags[config.ell] = {"G": g, "Hminus": hminus, "Hplus": hplus}
         for d, a in config.progressions:
             in_class = classes[d, a]
             denominator = int(np.count_nonzero(in_class))
             for variant in config.variants:
                 count = int(np.count_nonzero(flags[config.ell][variant] & in_class))
+                conjectured, lower_bound = row_theory[d, a, variant]
                 rows.append(SurveyRow(
                     ell=config.ell, d=d, a=a, x=config.x, count_irregular=count,
                     count_primes=denominator, experimental=round(count / denominator, 6),
-                    variant=variant, **row_theory[d, a, variant],
+                    conjectured=round(conjectured, 9), lower_bound=round(lower_bound, 9),
+                    variant=variant,
                 ))
     return rows
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 import sys
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 
 from genocchi import classify as classify_mod
+from genocchi import kernels
 from genocchi.classify import (
     b_irregular_pairs,
     classify_prime,
@@ -64,6 +68,25 @@ def test_b_irregular_pairs_computes_one_primitive_root(monkeypatch):
     for p in primes:
         b_irregular_pairs(p)
     assert calls == primes
+
+
+def test_a_second_primitive_root_gives_the_same_zero_set():
+    # at the root r = g**k, gcd(k, p - 1) = 1, every operand of the convolution
+    # changes and the zero set does not: 1 - r**(2n) is a unit for 2n <= p - 3.
+    # A seeded sample across the kernel's range, both sides of 2**15 and its top
+    rng = random.Random(4)
+    sample = rng.sample([int(p) for p in sieve_primes(MAX_KERNEL_PRIME)[4:]], 27)
+    zeros = 0
+    for p in sorted({32749, 32771, 249989, *sample}):
+        g = primitive_root(p)
+        k = next(k for k in itertools.count(5) if math.gcd(k, p - 1) == 1)
+        root = pow(g, k, p)
+        assert root != g, p
+        sums = kernels._power_sums_at(p, root)
+        pairs = b_irregular_pairs(p)
+        assert tuple(2 * (int(i) + 1) for i in np.flatnonzero(sums == 0)) == pairs, p
+        zeros += len(pairs)
+    assert zeros >= 5  # the sample holds irregular primes, so some zero is compared
 
 
 def test_b_irregular_pairs_domain():
@@ -128,6 +151,20 @@ def test_prime_orders_match_the_one_prime_oracle():
     assert prime_orders(3, []).shape == (0, 3)
     with pytest.raises(ValueError, match="ell must be prime"):
         prime_orders(9, [5])
+
+
+def test_prime_orders_of_many_bases_in_one_call():
+    # one base per prime: the rows of each base's own call, the zero rows of
+    # p = ell included, whatever the interleaving of the bases
+    odd = [int(p) for p in sieve_primes(3000)[1:]]
+    rng = random.Random(7)
+    pairs = [(ell, p) for ell in TABLE_1_BASES for p in odd]
+    rng.shuffle(pairs)
+    ells, primes = map(list, zip(*pairs))
+    want = {ell: dict(zip(odd, prime_orders(ell, odd).tolist())) for ell in TABLE_1_BASES}
+    assert prime_orders(ells, primes).tolist() == [want[ell][p] for ell, p in pairs]
+    with pytest.raises(ValueError, match="^ell must be prime, got 9$"):
+        prime_orders([3, 3, 9, 5], [5, 7, 11, 13])
 
 
 def test_classify_prime_checks_p_before_the_orders(monkeypatch):

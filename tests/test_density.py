@@ -1,14 +1,18 @@
+import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
+from genocchi import density as density_mod
 from genocchi.density import (
     ARTIN,
     ARTIN_REFERENCE_DIGITS,
     RATIO_KINDS,
+    SQRT_E,
     LinearInA,
     alpha_minus,
     alpha_primroot,
@@ -17,9 +21,11 @@ from genocchi.density import (
     delta_minus_total,
     lower_bound_ratio,
     r_factor,
+    ratios,
     rho_plus_one,
 )
 from genocchi.modarith import mult_order, sieve_primes
+from genocchi.survey import TABLE_PRESETS
 
 from density_oracles import (
     ODD_ELLS,
@@ -316,3 +322,40 @@ def test_ratio_kind_validation():
         conjectured_ratio("Hplus", 3, 4, 1)
     with pytest.raises(ValueError):
         lower_bound_ratio("Hminus", 2, 4, 1)
+
+
+def _two_evaluations(kind, ell, d, a):
+    """The (conjectured, lower bound) pair as two separate evaluations of delta."""
+    delta = density_mod._delta_for_kind
+    return (1.0 - float(delta(kind, ell, d, a)) / SQRT_E,
+            max(0.0, 1.0 - float(delta(kind, ell, d, a))))
+
+
+def test_ratios_equal_the_two_ratios_bit_for_bit():
+    # the 50 rows of the reference tables, then seeded requests until 500 of them
+    # have a closed form; each one without has the same error from every entry point
+    table_rows = [(kind, ell, d, a) for presets in TABLE_PRESETS.values()
+                  for ell, progressions, kinds in presets for d, a in progressions
+                  for kind in kinds]
+    assert len(table_rows) == 50
+    rng = random.Random(28)
+    seeded = ((rng.choice(RATIO_KINDS), rng.choice((2, 3, 5, 7, 11, 13, 17, 19, 23)),
+               d := rng.randint(1, 40), rng.randint(1, d)) for _ in itertools.count())
+    checked = rejected = 0
+    for request in itertools.chain(table_rows, seeded):
+        try:
+            want = _two_evaluations(*request)
+        except ValueError as exc:
+            for call in (ratios, conjectured_ratio, lower_bound_ratio):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    call(*request)
+            rejected += 1
+            continue
+        got = ratios(*request)
+        # bit for bit: the same floats by their hex form, not only ==
+        assert [v.hex() for v in got] == [v.hex() for v in want], request
+        assert (conjectured_ratio(*request), lower_bound_ratio(*request)) == got, request
+        checked += 1
+        if checked == 550:
+            break
+    assert rejected > 100

@@ -115,6 +115,24 @@ def test_mult_orders_domain(monkeypatch):
             mult_orders(3, bad)
     with pytest.raises(ValueError, match="divides"):
         mult_orders(14, [5, 7])
+    # with one base per prime, the error names the pair, not the whole base array
+    with pytest.raises(ValueError, match="^7 divides 14; order undefined$"):
+        mult_orders([3, 14, 5], [5, 7, 11])
+    with pytest.raises(ValueError, match="3 bases for 2 primes"):
+        mult_orders([3, 5, 7], [11, 13])
+
+
+def test_mult_orders_of_aligned_bases_across_chunks(monkeypatch):
+    # every base 2..19 against every odd prime <= 3000 it does not divide, in one
+    # call whose chunks are cut small, so that rows of one base cross chunk edges
+    monkeypatch.setattr(modarith, "_ORDER_CHUNK", 97)
+    pairs = [(g, p) for g in range(2, 20) for p in map(int, sieve_primes(3000)[1:]) if g % p]
+    bases, primes = zip(*pairs)
+    assert len(pairs) > 20 * modarith._ORDER_CHUNK
+    assert mult_orders(bases, primes).tolist() == [mult_order(g, p) for g, p in pairs]
+    # one base for every prime is the same computation
+    odd = [p for g, p in pairs if g == 2]
+    assert mult_orders(2, odd).tolist() == mult_orders([2] * len(odd), odd).tolist()
 
 
 def test_jacobi_basics():

@@ -77,8 +77,7 @@ def test_config_validation(tmp_cache, monkeypatch):
     # the constructor checks its own rules and calls no density function:
     # `_canonical` is the first step of every density entry point
     monkeypatch.setattr(density_mod, "_canonical", _no_recompute)
-    monkeypatch.setattr(survey_mod, "conjectured_ratio", _no_recompute)
-    monkeypatch.setattr(survey_mod, "lower_bound_ratio", _no_recompute)
+    monkeypatch.setattr(survey_mod, "ratios", _no_recompute)
     with pytest.raises(ValueError, match="x must be >= 100"):
         SurveyConfig(ell=3, x=50)
     with pytest.raises(ValueError, match="non-empty"):
@@ -125,23 +124,22 @@ def test_density_rules_fail_before_the_sieve(tmp_cache, monkeypatch, overrides, 
 
 
 def test_each_row_evaluates_its_density_once(tmp_cache, monkeypatch):
-    # one conjectured and one lower-bound call per row, so two `_delta_for_kind`
-    # calls: 100 for the 50 rows of g1, hpm and g3, whatever x is
+    # one `ratios` call per row gives both theory columns from one `_delta_for_kind`
+    # call: 50 for the 50 rows of g1, hpm and g3, whatever x is
     calls = collections.Counter()
     monkeypatch.setattr(density_mod, "_delta_for_kind",
                         _counted(calls, "delta", density_mod._delta_for_kind))
-    for name in ("conjectured_ratio", "lower_bound_ratio"):
-        monkeypatch.setattr(survey_mod, name, _counted(calls, name, getattr(survey_mod, name)))
+    monkeypatch.setattr(survey_mod, "ratios", _counted(calls, "ratios", survey_mod.ratios))
     cfg = small_config(tmp_cache, x=300, progressions=((1, 1), (4, 1), (4, 3)))
     assert not calls
     rows = run_survey(cfg)
     assert len(rows) == 6
-    assert calls == {"conjectured_ratio": 6, "lower_bound_ratio": 6, "delta": 12}
+    assert calls == {"ratios": 6, "delta": 6}
     calls.clear()
     rows = [row for which in ("g1", "hpm", "g3")
             for row in run_table(which, 200, cache_dir=tmp_cache, quiet=True)]
     assert len(rows) == 50
-    assert calls == {"conjectured_ratio": 50, "lower_bound_ratio": 50, "delta": 100}
+    assert calls == {"ratios": 50, "delta": 50}
 
 
 @pytest.mark.parametrize(
@@ -234,8 +232,11 @@ def test_configs_of_one_survey_share_x_threads_cache_and_quiet(tmp_cache, monkey
 
 
 def test_a_table_is_one_pass(tmp_cache, monkeypatch):
-    # one sieve and one read of birregular.csv per table, and one round of forks
+    # one sieve, one read of birregular.csv, one round of forks and one orders
+    # pass for all the bases of a cold table; a warm one computes no order
     calls = collections.Counter()
+    monkeypatch.setattr(survey_mod, "prime_orders",
+                        _counted(calls, "orders", survey_mod.prime_orders))
     monkeypatch.setattr(survey_mod, "sieve_primes",
                         _counted(calls, "sieve", survey_mod.sieve_primes))
     monkeypatch.setattr(ClassificationCache, "load_b_pairs",
@@ -243,7 +244,7 @@ def test_a_table_is_one_pass(tmp_cache, monkeypatch):
     monkeypatch.setattr(survey_mod, "_fork_b_worker",
                         _counted(calls, "fork", survey_mod._fork_b_worker))
     cold = run_table("g1", 1000, threads=2, cache_dir=tmp_cache, quiet=True)
-    assert calls == {"sieve": 1, "load": 1, "fork": survey_mod._worker_count(2)}
+    assert calls == {"sieve": 1, "load": 1, "fork": survey_mod._worker_count(2), "orders": 1}
     _assert_no_child_left()
     monkeypatch.setattr(survey_mod, "b_irregular_pairs", _no_recompute)
     monkeypatch.setattr(survey_mod, "prime_orders", _no_recompute)
@@ -404,6 +405,27 @@ def test_cache_order_row_that_contradicts_its_ord_is_reported(tmp_cache, row):
         assert path.read_text() == text
 
 
+def test_bad_order_row_of_the_last_base_writes_no_file(tmp_cache):
+    # every row from every orders file is checked before any of them is written: a
+    # bad row in the last base's file names that file, and the other bases' files,
+    # whose primes above 500 are missing too, stay as they were
+    run_table("g1", 500, cache_dir=tmp_cache, quiet=True)
+    path = ClassificationCache(tmp_cache)._orders_path(19)
+    text = path.read_text()
+    path.write_text(text.replace("\n13,12,6,-1\n", "\n13,12,6,1\n"))  # jacobi is wrong
+    assert path.read_text() != text
+    def orders_files():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in tmp_cache.glob("orders_*.csv")}
+
+    before = orders_files()
+    assert len(before) == 8
+    match = f"{re.escape(str(path))}.*p=13 contradicts its ord.*delete"
+    with pytest.raises(SurveyError, match=match):
+        run_table("g1", 600, cache_dir=tmp_cache, quiet=True)
+    assert orders_files() == before
+
+
 def _row(old, new):
     """An edit that replaces the lines `old` by the lines `new`."""
     return lambda text: text.replace(f"\n{old}\n", f"\n{new}\n")
@@ -485,9 +507,15 @@ def test_orders_file_with_gaps_and_primes_above_x(tmp_path):
     cache_dir.mkdir()
     (cache_dir / "orders_3.csv").write_bytes(header + b"".join(kept[::-1]))
     primes = sieve_primes(500)
-    rows = survey_mod._ensure_orders(3, primes, ClassificationCache(cache_dir))
-    assert (rows[0] == 0).all() and (rows[1:] == classify_mod.prime_orders(3, primes[1:])).all()
+    rows = survey_mod._ensure_orders([3, 5], primes, ClassificationCache(cache_dir))
+    assert list(rows) == [3, 5]
+    for ell in (3, 5):
+        assert (rows[ell][0] == 0).all()
+        assert (rows[ell][1:] == classify_mod.prime_orders(ell, primes[1:])).all(), ell
     assert (cache_dir / "orders_3.csv").read_bytes() == cold
+    # orders_5.csv was absent, so all its rows were computed, in the same pass
+    run_survey(small_config(cold_dir, ell=5, x=500))
+    assert (cache_dir / "orders_5.csv").read_bytes() == (cold_dir / "orders_5.csv").read_bytes()
 
 
 def test_warm_survey_writes_nothing(tmp_cache, monkeypatch):
